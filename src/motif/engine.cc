@@ -7,11 +7,11 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "motif/enumerate.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
+#include "motif/per_edge.h"
 #include "motif/variance.h"
 
 namespace mochy {
@@ -148,7 +148,7 @@ Result<uint64_t> ParseMemoryBudget(std::string_view text) {
 
 std::string EngineStats::ToString() const {
   char buffer[256];
-  int written = std::snprintf(
+  std::snprintf(
       buffer, sizeof(buffer),
       "algorithm=%s threads=%zu samples=%llu wedges=%llu elapsed=%.3fs",
       AlgorithmName(algorithm), num_threads,
@@ -468,29 +468,7 @@ Result<PerEdgeResult> MotifEngine::CountPerEdge(
   result.stats.projection_policy = ProjectionPolicy::kMaterialized;
 
   Timer timer;
-  const size_t num_edges = graph_->num_edges();
-  // One row block per enumeration thread; each instance credits its
-  // three member edges. The increments are integers (exactly
-  // representable in doubles), so the merge below is bit-identical in
-  // any order and at any thread count.
-  std::vector<PerEdgeCounts> partial(
-      num_threads, PerEdgeCounts(num_edges, std::array<double, kNumHMotifs>{}));
-  EnumerateInstancesParallel(
-      *graph_, projection_, num_threads,
-      [&partial](size_t thread, const MotifInstance& instance) {
-        PerEdgeCounts& rows = partial[thread];
-        rows[instance.i][instance.motif - 1] += 1.0;
-        rows[instance.j][instance.motif - 1] += 1.0;
-        rows[instance.k][instance.motif - 1] += 1.0;
-      });
-  result.rows = std::move(partial[0]);
-  for (size_t t = 1; t < num_threads; ++t) {
-    for (size_t e = 0; e < num_edges; ++e) {
-      for (int m = 0; m < kNumHMotifs; ++m) {
-        result.rows[e][m] += partial[t][e][m];
-      }
-    }
-  }
+  result.rows = ComputePerEdgeMotifCounts(*graph_, projection_, num_threads);
   result.stats.elapsed_seconds = timer.Seconds();
   result.stats.projection_bytes = materialized_bytes_;
   result.stats.projection_peak_bytes = materialized_bytes_;

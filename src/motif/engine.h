@@ -10,7 +10,7 @@
 /// an option instead of a code path, and get uniform run statistics back.
 /// Besides the 26 global counts, the engine exposes a second result mode:
 /// CountPerEdge() returns the exact per-hyperedge participation rows
-/// (Table 4's HM26 features) from the same enumeration kernels.
+/// (Table 4's HM26 features) from the same hub loop as exact counting.
 ///
 /// \par Engine lifecycle
 /// For a single graph, the projection structure is set up once — at
@@ -300,9 +300,9 @@ class MotifEngine {
   /// is internally synchronized (and never affects counts, only stats).
   Result<EngineResult> Count(const EngineOptions& options = {}) const;
 
-  /// The per-edge result mode: exact per-hyperedge participation rows
-  /// from one parallel pass over the same stamped-arena enumeration the
-  /// exact counter runs on (motif/enumerate.h). Only
+  /// The per-edge result mode: ComputePerEdgeMotifCounts
+  /// (motif/per_edge.h) — one parallel pass of the stamped hub loop the
+  /// exact counter runs on — plus run statistics. Only
   /// `options.num_threads` is read — the rows are exact, so there is
   /// nothing to sample or seed — and results are bit-identical at every
   /// thread count (rows accumulate integers; merge order cannot change

@@ -1,9 +1,10 @@
 // MoCHy-E-ENUM: h-motif instance enumeration (paper Algorithm 3).
 //
 // Visits every h-motif instance exactly once and hands it to a callback
-// together with its motif id. Counting, per-edge feature extraction
-// (Table 4's HM26 features), and instance materialization are all thin
-// wrappers over this.
+// together with its motif id. Like MoCHy-E counting (motif/mochy_e.h) and
+// the per-edge rows (motif/per_edge.h), this is a sink over the stamped
+// hub loop in motif/stamp_kernels.h; the callback here is the public
+// std::function hook for the CLI, the variance terms and the tests.
 #ifndef MOCHY_MOTIF_ENUMERATE_H_
 #define MOCHY_MOTIF_ENUMERATE_H_
 
@@ -28,14 +29,6 @@ struct MotifInstance {
 void EnumerateInstances(const Hypergraph& graph,
                         const ProjectedGraph& projection,
                         const std::function<void(const MotifInstance&)>& fn);
-
-/// Parallel enumeration: `fn(thread, instance)` may be called concurrently
-/// from different threads; instances are still visited exactly once.
-/// `num_threads` 0 means DefaultThreadCount().
-void EnumerateInstancesParallel(
-    const Hypergraph& graph, const ProjectedGraph& projection,
-    size_t num_threads,
-    const std::function<void(size_t thread, const MotifInstance&)>& fn);
 
 /// Materializes all instances (small graphs / tests only).
 std::vector<MotifInstance> CollectInstances(const Hypergraph& graph,

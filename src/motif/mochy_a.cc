@@ -12,69 +12,24 @@ namespace mochy {
 
 namespace {
 
-/// Processes one sampled hyperedge e_i: visits every h-motif instance that
-/// contains e_i and increments raw counts. arena.edge_weight2 holds
-/// w(e_i, ·) for the whole call; arena.edge_weight is re-stamped per e_j.
-/// `nbrs` is N(e_i) and must stay valid for the whole call;
-/// `nbrs_of(ej)` returns N(e_j), valid until the next nbrs_of call — the
-/// two entry points below bind it to the materialized projection or to
-/// the lazy memo.
+/// Processes one sampled hyperedge e_i: the containment loop over all of
+/// N(e_i) (`nbrs`, valid for the whole call), counting every h-motif
+/// instance that contains e_i into `raw`. `nbrs_of(ej)` returns N(e_j),
+/// valid until the next nbrs_of call — the two entry points below bind
+/// it to the materialized projection or to the lazy memo.
 template <typename InnerNbrsFn>
 void ProcessSampledEdge(const Hypergraph& graph, EdgeId ei,
                         std::span<const Neighbor> nbrs, InnerNbrsFn&& nbrs_of,
                         const uint32_t* size_of, ScratchArena& arena,
                         MotifCounts& raw) {
-  StampedWeights& w_i = arena.edge_weight2;  // w(e_i, ·) over N(e_i)
-  StampedWeights& w_j = arena.edge_weight;   // w(e_j, ·), re-stamped per e_j
-  w_i.NewEpoch();
-  for (const Neighbor& n : nbrs) w_i.Set(n.edge, n.weight);
-  internal::StampHubNodes(graph, ei, arena);
-  const uint64_t size_i = size_of[ei];
-
-  for (size_t a = 0; a < nbrs.size(); ++a) {
-    const EdgeId ej = nbrs[a].edge;
-    const uint64_t w_ij = nbrs[a].weight;
-    const uint64_t size_j = size_of[ej];
-    bool pair_ready = false;
-
-    // One pass over N(e_j) replaces the old per-pair hash probes: members
-    // also adjacent to e_i stamp w_jk for the pair loop below, the rest
-    // are Case-2 instances — e_k disjoint from e_i, an open instance with
-    // hub e_j — classified on the spot.
-    w_j.NewEpoch();
-    for (const Neighbor& nj : nbrs_of(ej)) {
-      const EdgeId ek = nj.edge;
-      if (ek == ei) continue;
-      if (w_i.Get(ek) != 0) {  // in N(e_i): handled by the pair loop
-        w_j.Set(ek, nj.weight);
-        continue;
-      }
-      const int id = ClassifyMotifOrZero(size_i, size_j, size_of[ek], w_ij,
-                                         /*w_jk=*/nj.weight, /*w_ik=*/0,
-                                         /*w_ijk=*/0);
-      if (id != 0) raw[id] += 1.0;
-    }
-    // Case 1: e_k also a neighbor of e_i. Enumerate unordered pairs once
-    // (j < k by position, Algorithm 4 line 6).
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_ik = nbrs[b].weight;
-      const uint64_t size_k = size_of[ek];
-      const uint64_t w_jk = w_j.Get(ek);
-      uint64_t w_ijk = 0;
-      if (w_jk != 0) {
-        if (!pair_ready) {
-          internal::StampPairNodes(graph, ej, arena);
-          pair_ready = true;
-        }
-        w_ijk = internal::StampedTripleIntersection(graph, ek, arena);
-      }
-      // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
-      const int id = ClassifyMotifOrZero(size_i, size_j, size_k, w_ij, w_jk,
-                                         w_ik, w_ijk);
-      if (id != 0) raw[id] += 1.0;
-    }
-  }
+  internal::PrepareContainment(graph, ei, nbrs, arena);
+  internal::VisitContainment(
+      graph, ei, nbrs, 0, nbrs.size(), nbrs_of,
+      [size_of](EdgeId e) -> uint64_t { return size_of[e]; }, arena,
+      [&raw](EdgeId, EdgeId, EdgeId, int id) {
+        // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
+        if (id != 0) raw[id] += 1.0;
+      });
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // Samples s hyperedges uniformly with replacement; for each sample e_i it
 // visits every instance containing e_i (via 1-hop and 2-hop projected
 // neighbors) and finally rescales by |E| / (3s), which makes every
-// per-motif estimate unbiased (Theorem 2).
+// per-motif estimate unbiased (Theorem 2). The per-sample visit is the
+// stamped containment loop in motif/stamp_kernels.h, which the streaming
+// delta pass (motif/streaming.h) runs too.
 #ifndef MOCHY_MOTIF_MOCHY_A_H_
 #define MOCHY_MOTIF_MOCHY_A_H_
 

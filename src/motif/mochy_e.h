@@ -7,12 +7,13 @@
 // are counted only when i < min(j, k). Complexity
 // O(Σ_e |e| · |N_e|²) (Theorem 1).
 //
-// The hot loop runs on epoch-stamped scratch arrays (motif/stamp_kernels.h,
-// docs/ARCHITECTURE.md "Counting kernels"): per-pair weights come from a
-// dense scatter of N(e_j) instead of hash probes, triple intersections from
-// stamped node marks, and hubs are claimed in Σd²-balanced chunks. The
-// pre-stamp implementation is retained in motif/reference.h as the
-// differential-test oracle and bench baseline.
+// Counting is one sink over the stamped hub loop in motif/stamp_kernels.h
+// (docs/ARCHITECTURE.md "Counting kernels"), the same loop behind instance
+// enumeration (motif/enumerate.h) and per-edge rows (motif/per_edge.h):
+// per-pair weights come from a dense scatter of N(e_j) instead of hash
+// probes, triple intersections from stamped node marks, and hubs are
+// claimed in Σd²-balanced chunks. The pre-stamp implementation is retained
+// in motif/reference.h as the differential-test oracle and bench baseline.
 #ifndef MOCHY_MOTIF_MOCHY_E_H_
 #define MOCHY_MOTIF_MOCHY_E_H_
 

@@ -1,8 +1,19 @@
-// Shared stamp-array helpers for the MoCHy counting hot paths.
+// The stamped MoCHy loops and the scratch helpers they share.
 //
-// The three counters (mochy_e, mochy_a, mochy_aplus) walk the same basic
-// shape — fix e_i (a hub or a sample), pick e_j from N(e_i), then resolve
-// every e_k — and they share three dense-scratch tricks:
+// Every exact kernel walks the same shape — fix e_i, pick e_j from N(e_i),
+// then resolve every e_k — in one of two instance shapes, each kept here
+// exactly once and handed an inlined sink `sink(ei, ej, ek, id)`:
+//
+//  - the hub loop (VisitHub, ForEachHubInstance): every instance whose
+//    hub is e_i, closed ones only from their smallest hub id. MoCHy-E
+//    (Algorithm 2) and MoCHy-E-ENUM (Algorithm 3) — CountMotifsExact,
+//    ComputePerEdgeMotifCounts / MotifEngine::CountPerEdge and
+//    EnumerateInstances — are sinks over it;
+//  - the containment loop (PrepareContainment + VisitContainment): every
+//    instance that contains e_i (Algorithm 4). MoCHy-A, materialized and
+//    lazy, and the streaming add/remove delta are sinks over it.
+//
+// Both loops rest on three dense-scratch tricks:
 //
 //  - hoisted edge sizes: |e| for all hyperedges in one contiguous
 //    uint32_t array, so the innermost loop reads 4 bytes instead of
@@ -19,12 +30,17 @@
 #ifndef MOCHY_MOTIF_STAMP_KERNELS_H_
 #define MOCHY_MOTIF_STAMP_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/parallel.h"
 #include "common/scratch_arena.h"
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/projection.h"
+#include "motif/pattern.h"
 
 namespace mochy::internal {
 
@@ -51,17 +67,18 @@ inline std::vector<uint32_t> HoistEdgeSizes(const Hypergraph& graph) {
   return sizes;
 }
 
-/// Scatters e_i's members into arena.node_hub (fresh epoch).
-inline void StampHubNodes(const Hypergraph& graph, EdgeId ei,
-                          ScratchArena& arena) {
+/// Scatters e_i's members into arena.node_hub (fresh epoch). `Graph` is
+/// Hypergraph or DynamicHypergraph (anything with edge(e)).
+template <typename Graph>
+void StampHubNodes(const Graph& graph, EdgeId ei, ScratchArena& arena) {
   arena.node_hub.NewEpoch();
   for (NodeId v : graph.edge(ei)) arena.node_hub.Insert(v);
 }
 
 /// Scatters e_i ∩ e_j into arena.node_pair (fresh epoch); node_hub must
 /// hold e_i (StampHubNodes).
-inline void StampPairNodes(const Hypergraph& graph, EdgeId ej,
-                           ScratchArena& arena) {
+template <typename Graph>
+void StampPairNodes(const Graph& graph, EdgeId ej, ScratchArena& arena) {
   arena.node_pair.NewEpoch();
   for (NodeId v : graph.edge(ej)) {
     if (arena.node_hub.Test(v)) arena.node_pair.Insert(v);
@@ -70,13 +87,187 @@ inline void StampPairNodes(const Hypergraph& graph, EdgeId ej,
 
 /// |e_i ∩ e_j ∩ e_k| as a marked-count scan of e_k; node_pair must hold
 /// e_i ∩ e_j (StampPairNodes).
-inline uint64_t StampedTripleIntersection(const Hypergraph& graph, EdgeId ek,
-                                          const ScratchArena& arena) {
+template <typename Graph>
+uint64_t StampedTripleIntersection(const Graph& graph, EdgeId ek,
+                                   const ScratchArena& arena) {
   uint64_t count = 0;
   for (NodeId v : graph.edge(ek)) {
     count += arena.node_pair.Test(v) ? 1 : 0;
   }
   return count;
+}
+
+// Scattering N(e_j) costs |N_j| writes and is amortized over the pairs
+// still to come in the hub's pair loop. When the tail of the pair loop is
+// short and N(e_j) is huge, fall back to per-pair hash probes for this
+// e_j: identical counts, better constant.
+inline bool WorthScattering(size_t neighborhood, size_t remaining_pairs) {
+  return neighborhood <= 16 + 4 * remaining_pairs;
+}
+
+/// The hub loop: calls sink(ei, ej, ek, id) for every h-motif instance
+/// hubbed at e_i — every pair {e_j, e_k} of N(e_i) in neighbor order,
+/// closed triples only when e_i is their smallest hub id (Algorithm 2,
+/// line 4). Duplicate-edge triples (id 0) never reach the sink. The
+/// arena must be sized for the graph; `size_of` is HoistEdgeSizes.
+template <typename Sink>
+void VisitHub(const Hypergraph& graph, const ProjectedGraph& projection,
+              EdgeId ei, const uint32_t* size_of, ScratchArena& arena,
+              Sink sink) {
+  const auto nbrs = projection.neighbors(ei);
+  if (nbrs.size() < 2) return;
+  const uint64_t size_i = size_of[ei];
+  StampHubNodes(graph, ei, arena);
+
+  for (size_t a = 0; a + 1 < nbrs.size(); ++a) {
+    const EdgeId ej = nbrs[a].edge;
+    const uint64_t w_ij = nbrs[a].weight;
+    const uint64_t size_j = size_of[ej];
+    const size_t remaining = nbrs.size() - a - 1;
+
+    const auto nbrs_j = projection.neighbors(ej);
+    const bool scattered = WorthScattering(nbrs_j.size(), remaining);
+    if (scattered) {
+      arena.edge_weight.NewEpoch();
+      for (const Neighbor& n : nbrs_j) arena.edge_weight.Set(n.edge, n.weight);
+    }
+    // e_i ∩ e_j is scattered lazily: only hubs whose pair loop actually
+    // reaches a closed triple pay for it.
+    bool pair_ready = false;
+
+    for (size_t b = a + 1; b < nbrs.size(); ++b) {
+      const EdgeId ek = nbrs[b].edge;
+      const uint64_t w_jk =
+          scattered ? arena.edge_weight.Get(ek) : projection.Weight(ej, ek);
+      // Count open instances at their unique hub; closed instances only
+      // from the smallest hub id (Algorithm 2, line 4).
+      if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
+      const uint64_t w_ik = nbrs[b].weight;
+      const uint64_t size_k = size_of[ek];
+      uint64_t w_ijk = 0;
+      if (w_jk != 0) {
+        if (!pair_ready) {
+          StampPairNodes(graph, ej, arena);
+          pair_ready = true;
+        }
+        w_ijk = StampedTripleIntersection(graph, ek, arena);
+      }
+      // Triples containing duplicated hyperedges correspond to no h-motif
+      // (paper Figure 4) and yield id 0: skip them. They can occur when
+      // duplicate removal is disabled (e.g. null models).
+      const int id = ClassifyMotifOrZero(size_i, size_j, size_k, w_ij, w_jk,
+                                         w_ik, w_ijk);
+      if (id != 0) sink(ei, ej, ek, id);
+    }
+  }
+}
+
+/// Runs VisitHub over every hub with `num_threads` workers (≥ 1) and
+/// calls sink(thread, ei, ej, ek, id) per instance; `thread` indexes the
+/// caller's per-worker state. Per-hub work is ~|N_e|² and projected
+/// degrees are heavy-tailed, so static blocks balance poorly and one
+/// atomic claim per hub wastes the cheap hubs: hubs are claimed in
+/// chunks of near-equal Σd² work instead. One worker visits the hubs in
+/// id order on the calling thread (hub-major enumeration order).
+template <typename Sink>
+void ForEachHubInstance(const Hypergraph& graph,
+                        const ProjectedGraph& projection, size_t num_threads,
+                        Sink&& sink) {
+  const size_t m = graph.num_edges();
+  MOCHY_CHECK(projection.num_edges() == m)
+      << "projection does not match hypergraph";
+  const std::vector<uint32_t> size_of = HoistEdgeSizes(graph);
+  const std::vector<uint64_t> cost = HubWorkEstimate(projection);
+  ParallelWorkChunks(cost, num_threads,
+                     [&](size_t thread, size_t begin, size_t end) {
+    ScratchArena& arena = LocalScratchArena();
+    arena.EnsureEdges(m);
+    arena.EnsureNodes(graph.num_nodes());
+    for (size_t i = begin; i < end; ++i) {
+      VisitHub(graph, projection, static_cast<EdgeId>(i), size_of.data(),
+               arena,
+               [&](EdgeId ei, EdgeId ej, EdgeId ek, int id) {
+                 sink(thread, ei, ej, ek, id);
+               });
+    }
+  });
+}
+
+/// First half of the containment loop: scatters N(e_i) (membership and
+/// w(e_i, ·)) into arena.edge_weight2 and e_i's members into node_hub.
+/// VisitContainment only bumps the edge_weight / node_pair epochs, so
+/// one preparation serves any number of visited ranges on this arena.
+template <typename Graph>
+void PrepareContainment(const Graph& graph, EdgeId ei,
+                        std::span<const Neighbor> nbrs, ScratchArena& arena) {
+  arena.edge_weight2.NewEpoch();
+  for (const Neighbor& n : nbrs) arena.edge_weight2.Set(n.edge, n.weight);
+  StampHubNodes(graph, ei, arena);
+}
+
+/// The containment loop: calls sink(ei, ej, ek, id) for every candidate
+/// triple containing e_i whose first neighbor e_j = nbrs[a] has a in
+/// [begin, end) — e_k ∈ N(e_j) \ N(e_i) (open, hub e_j), then the pairs
+/// {e_j, e_k} ⊆ N(e_i) with e_k after e_j in neighbor order. Disjoint
+/// ranges visit disjoint triples; [0, |N(e_i)|) visits every instance
+/// containing e_i exactly once (Algorithm 4). The sink also sees
+/// duplicate-edge candidates (id 0) and must drop them itself.
+///
+/// `nbrs` is N(e_i) and must stay valid for the whole call; `nbrs_of(ej)`
+/// returns N(e_j), valid until its next call; `size_of(e)` returns |e|.
+/// The arena must be sized for the graph and prepared for e_i
+/// (PrepareContainment). `Graph` is Hypergraph or DynamicHypergraph.
+template <typename Graph, typename NbrsFn, typename SizeFn, typename Sink>
+void VisitContainment(const Graph& graph, EdgeId ei,
+                      std::span<const Neighbor> nbrs, size_t begin,
+                      size_t end, NbrsFn nbrs_of, SizeFn size_of,
+                      ScratchArena& arena, Sink sink) {
+  const StampedWeights& w_i = arena.edge_weight2;  // w(e_i, ·) over N(e_i)
+  StampedWeights& w_j = arena.edge_weight;  // w(e_j, ·), re-stamped per e_j
+  const uint64_t size_i = size_of(ei);
+
+  for (size_t a = begin; a < end; ++a) {
+    const EdgeId ej = nbrs[a].edge;
+    const uint64_t w_ij = nbrs[a].weight;
+    const uint64_t size_j = size_of(ej);
+    bool pair_ready = false;
+
+    // One pass over N(e_j) replaces per-pair hash probes: members also
+    // adjacent to e_i stamp w_jk for the pair loop below, the rest are
+    // triples with e_k disjoint from e_i — open with hub e_j — classified
+    // on the spot.
+    w_j.NewEpoch();
+    for (const Neighbor& nj : nbrs_of(ej)) {
+      const EdgeId ek = nj.edge;
+      if (ek == ei) continue;
+      if (w_i.Test(ek)) {  // in N(e_i): handled by the pair loop
+        w_j.Set(ek, nj.weight);
+        continue;
+      }
+      sink(ei, ej, ek,
+           ClassifyMotifOrZero(size_i, size_j, size_of(ek), w_ij,
+                               /*w_jk=*/nj.weight, /*w_ik=*/0,
+                               /*w_ijk=*/0));
+    }
+    // e_k also a neighbor of e_i: unordered pairs once, j < k by position
+    // (Algorithm 4, line 6).
+    for (size_t b = a + 1; b < nbrs.size(); ++b) {
+      const EdgeId ek = nbrs[b].edge;
+      const uint64_t w_ik = nbrs[b].weight;
+      const uint64_t w_jk = w_j.Get(ek);
+      uint64_t w_ijk = 0;
+      if (w_jk != 0) {
+        if (!pair_ready) {
+          StampPairNodes(graph, ej, arena);
+          pair_ready = true;
+        }
+        w_ijk = StampedTripleIntersection(graph, ek, arena);
+      }
+      sink(ei, ej, ek,
+           ClassifyMotifOrZero(size_i, size_j, size_of(ek), w_ij, w_jk, w_ik,
+                               w_ijk));
+    }
+  }
 }
 
 }  // namespace mochy::internal

@@ -12,7 +12,8 @@
 /// arriving edge `e` can only *create* motif instances and a removed
 /// edge can only *destroy* instances (every affected instance contains
 /// `e`, and no other instance changes class). The engine enumerates
-/// exactly those instances via the projected neighborhood that
+/// exactly those instances with MoCHy-A's containment loop
+/// (motif/stamp_kernels.h) over the projected neighborhood that
 /// `DynamicHypergraph` (hypergraph/dynamic.h) maintains incrementally —
 /// the same enumeration both directions, added on arrival, subtracted
 /// on removal. The full delta-counting contract — which triples an
@@ -133,9 +134,6 @@ class StreamingEngine {
  private:
   struct DeltaCounters;
   DeltaCounters EnumerateDelta(EdgeId e);
-  void PrepareDeltaScratch(EdgeId e, ScratchArena& arena) const;
-  void CountDeltaRange(EdgeId e, size_t begin, size_t end,
-                       ScratchArena& arena, DeltaCounters& out) const;
 
   StreamingOptions options_;
   size_t resolved_threads_ = 1;

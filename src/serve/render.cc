@@ -28,7 +28,10 @@ std::string RenderPerEdgeBody(const PerEdgeCounts& rows) {
   std::string body = "rows " + std::to_string(rows.size()) + "\n";
   for (size_t e = 0; e < rows.size(); ++e) {
     body += "row " + std::to_string(e);
-    for (const double count : rows[e]) body += " " + EncodeDouble(count);
+    for (const double count : rows[e]) {
+      body += ' ';
+      body += EncodeDouble(count);
+    }
     body += "\n";
   }
   return body;
@@ -66,7 +69,8 @@ Result<std::string> RenderPredictBody(const Hypergraph& history,
                      " fake=" + std::to_string(edges.size()) + "\n";
   body += "hm7";
   for (const int index : task.hm7_feature_indices) {
-    body += " " + std::to_string(index + 1);  // report motif ids, not indices
+    body += ' ';
+    body += std::to_string(index + 1);  // report motif ids, not indices
   }
   body += "\n";
 

@@ -6,18 +6,25 @@
 // are integers and the samplers rescale identical integral raw counts, so
 // the comparisons below use EXPECT_EQ, not tolerances. Graphs cover
 // varied degree skew, duplicate hyperedges (dedup disabled, as null
-// models do) and the paper's Figure-2 running example.
+// models do) and the paper's Figure-2 running example. The per-edge rows
+// and the enumerated instance multiset, sinks over the same hub loop as
+// the exact counter, are pinned against brute-force set algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel.h"
 #include "gen/generators.h"
 #include "hypergraph/builder.h"
 #include "motif/engine.h"
+#include "motif/enumerate.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
+#include "motif/per_edge.h"
 #include "motif/reference.h"
 #include "tests/test_util.h"
 
@@ -98,6 +105,61 @@ TEST(KernelDiffTest, ExactMatchesBruteForce) {
     if (graph.num_edges() > 130) continue;  // brute force is O(|E|^3)
     ExpectBitIdentical(CountMotifsExact(graph, 2),
                        testing::BruteForceCounts(graph), "brute-force");
+  }
+}
+
+TEST(KernelDiffTest, PerEdgeRowsMatchBruteForceAtEveryThreadCount) {
+  // Per-edge rows are a sink over the same hub loop as the exact counter;
+  // the duplicate-heavy graph drives id-0 triples through it.
+  for (const Hypergraph& graph : DiffCorpus()) {
+    if (graph.num_edges() > 130) continue;  // brute force is O(|E|^3)
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    const auto want = testing::BruteForceRows(graph);
+    for (size_t threads : ThreadCounts()) {
+      const auto got = ComputePerEdgeMotifCounts(graph, projection, threads);
+      ASSERT_EQ(got.size(), want.size());
+      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+        for (int t = 0; t < kNumHMotifs; ++t) {
+          EXPECT_EQ(got[e][t], want[e][t])
+              << "m=" << graph.num_edges() << " threads=" << threads
+              << " edge " << e << " motif " << (t + 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDiffTest, CollectInstancesMatchesBruteForceClassification) {
+  // The enumerated multiset (sorted member ids + motif id) must equal
+  // the brute-force classification of every unordered triple: no
+  // instance missed, none repeated, no id-0 triple emitted.
+  using Instance = std::tuple<EdgeId, EdgeId, EdgeId, int>;
+  for (const Hypergraph& graph : DiffCorpus()) {
+    if (graph.num_edges() > 130) continue;  // brute force is O(|E|^3)
+    const size_t m = graph.num_edges();
+    std::vector<std::set<NodeId>> sets(m);
+    for (EdgeId e = 0; e < m; ++e) {
+      sets[e] = std::set<NodeId>(graph.edge(e).begin(), graph.edge(e).end());
+    }
+    std::vector<Instance> want;
+    for (EdgeId i = 0; i < m; ++i) {
+      for (EdgeId j = i + 1; j < m; ++j) {
+        for (EdgeId k = j + 1; k < m; ++k) {
+          const int id =
+              testing::BruteForceClassify(sets[i], sets[j], sets[k]);
+          if (id != 0) want.emplace_back(i, j, k, id);
+        }
+      }
+    }
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    std::vector<Instance> got;
+    for (const MotifInstance& inst : CollectInstances(graph, projection)) {
+      EdgeId ids[3] = {inst.i, inst.j, inst.k};
+      std::sort(ids, ids + 3);
+      got.emplace_back(ids[0], ids[1], ids[2], inst.motif);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "m=" << m;
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <set>
 #include <tuple>
 
@@ -165,26 +164,6 @@ TEST(EnumerateTest, VisitsEveryInstanceOnceWithCorrectMotif) {
     EXPECT_GE(inst.motif, 1);
     EXPECT_LE(inst.motif, kNumHMotifs);
   }
-}
-
-TEST(EnumerateTest, ParallelVisitsSameInstanceSet) {
-  const Hypergraph g = testing::RandomHypergraph(30, 60, 1, 5, 23);
-  const ProjectedGraph p = ProjectedGraph::Build(g).value();
-  std::set<std::tuple<EdgeId, EdgeId, EdgeId, int>> serial, parallel;
-  EnumerateInstances(g, p, [&](const MotifInstance& inst) {
-    EdgeId ids[3] = {inst.i, inst.j, inst.k};
-    std::sort(ids, ids + 3);
-    serial.emplace(ids[0], ids[1], ids[2], inst.motif);
-  });
-  std::mutex mu;
-  EnumerateInstancesParallel(
-      g, p, 4, [&](size_t, const MotifInstance& inst) {
-        EdgeId ids[3] = {inst.i, inst.j, inst.k};
-        std::sort(ids, ids + 3);
-        std::lock_guard<std::mutex> lock(mu);
-        parallel.emplace(ids[0], ids[1], ids[2], inst.motif);
-      });
-  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <set>
 #include <vector>
 
 #include "hypergraph/builder.h"
@@ -28,38 +27,13 @@ PerEdgeRows ComputeRows(const Hypergraph& graph) {
   return ComputePerEdgeMotifCounts(graph, projection);
 }
 
-/// Independent oracle: classify every unordered triple with plain set
-/// algebra and credit the instance to its three member rows.
-PerEdgeRows BruteForceRows(const Hypergraph& graph) {
-  const size_t m = graph.num_edges();
-  std::vector<std::set<NodeId>> sets(m);
-  for (EdgeId e = 0; e < m; ++e) {
-    const auto span = graph.edge(e);
-    sets[e] = std::set<NodeId>(span.begin(), span.end());
-  }
-  PerEdgeRows rows(m);
-  for (auto& row : rows) row.fill(0.0);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) {
-      for (size_t k = j + 1; k < m; ++k) {
-        const int id = testing::BruteForceClassify(sets[i], sets[j], sets[k]);
-        if (id == 0) continue;
-        rows[i][id - 1] += 1.0;
-        rows[j][id - 1] += 1.0;
-        rows[k][id - 1] += 1.0;
-      }
-    }
-  }
-  return rows;
-}
-
 TEST(PerEdgeTest, RowsMatchBruteForceBitExactly) {
   for (const uint64_t seed : {2u, 23u, 47u}) {
     const Hypergraph graph = testing::RandomHypergraph(
         /*num_nodes=*/20, /*num_edges=*/30, /*min_size=*/1, /*max_size=*/6,
         seed);
     const PerEdgeRows got = ComputeRows(graph);
-    const PerEdgeRows want = BruteForceRows(graph);
+    const PerEdgeRows want = testing::BruteForceRows(graph);
     ASSERT_EQ(got.size(), graph.num_edges()) << "seed " << seed;
     for (EdgeId e = 0; e < graph.num_edges(); ++e) {
       for (int t = 0; t < kNumHMotifs; ++t) {
@@ -125,10 +99,9 @@ TEST(PerEdgeTest, GoldenFigure2Rows) {
 }
 
 TEST(PerEdgeTest, EnginePathMatchesFreeFunctionAndBruteForce) {
-  // The promoted engine strategy (MotifEngine::CountPerEdge) must agree
-  // bit-exactly with both the free-function kernel it wraps and the
-  // independent brute-force oracle — the free function stays as the
-  // bit-identity reference for the engine path.
+  // The engine strategy (MotifEngine::CountPerEdge) wraps the free
+  // function with run statistics; both must agree bit-exactly with each
+  // other and with the independent brute-force oracle.
   for (const uint64_t seed : {5u, 61u}) {
     const Hypergraph graph = testing::RandomHypergraph(
         /*num_nodes=*/20, /*num_edges=*/30, /*min_size=*/1, /*max_size=*/6,
@@ -136,7 +109,7 @@ TEST(PerEdgeTest, EnginePathMatchesFreeFunctionAndBruteForce) {
     const MotifEngine engine = MotifEngine::Create(graph).value();
     const PerEdgeResult result = engine.CountPerEdge().value();
     const PerEdgeRows oracle = ComputeRows(graph);
-    const PerEdgeRows brute = BruteForceRows(graph);
+    const PerEdgeRows brute = testing::BruteForceRows(graph);
     ASSERT_EQ(result.rows.size(), graph.num_edges());
     for (EdgeId e = 0; e < graph.num_edges(); ++e) {
       for (int t = 0; t < kNumHMotifs; ++t) {

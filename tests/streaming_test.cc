@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -448,6 +449,80 @@ TEST(StreamingEngineTest, RandomInterleavingMatchesOracleAtEveryPrefix) {
     EXPECT_EQ(engine.counts().Total(), 0.0);
     EXPECT_EQ(engine.graph().num_live_edges(), 0u);
   }
+}
+
+// StreamingStats::candidate_triples counts every triple the delta pass
+// classifies, duplicate-edge (id 0) triples included. Pinned per update
+// against set algebra over plain node sets, independent of the dynamic
+// projection: with N(e) the live edges sharing a node with e, the pass
+// examines every pair of N(e) plus, for each a in N(e), every neighbor
+// of a outside N(e) ∪ {e} — C(|N(e)|,2) + Σ_a |N(a) \ (N(e) ∪ {e})|.
+// Adds are checked after the edge enters, removes before it leaves; the
+// fanned-out engine must split the same candidates over its workers.
+TEST(StreamingEngineTest, CandidateTriplesMatchSetAlgebraPerUpdate) {
+  const std::vector<testing::DynamicOp> schedule =
+      testing::RandomDynamicSchedule(/*num_ops=*/300, /*num_nodes=*/22,
+                                     /*max_edge_size=*/6,
+                                     /*remove_ratio=*/0.4,
+                                     /*query_ratio=*/0.0, /*seed=*/91);
+  StreamingOptions forced;
+  forced.num_threads = 2;
+  forced.parallel_work_threshold = 1;  // fan out on every update
+  StreamingEngine serial, fanned(forced);
+
+  std::map<EdgeId, std::set<NodeId>> live;  // id -> node set
+  auto neighbors_of = [&](EdgeId e) {
+    std::set<EdgeId> out;
+    for (const auto& [f, nodes] : live) {
+      if (f == e) continue;
+      for (const NodeId v : nodes) {
+        if (live.at(e).count(v) != 0) {
+          out.insert(f);
+          break;
+        }
+      }
+    }
+    return out;
+  };
+  auto expected_candidates = [&](EdgeId e) {
+    const std::set<EdgeId> n_e = neighbors_of(e);
+    const uint64_t n = n_e.size();
+    uint64_t count = n < 2 ? 0 : n * (n - 1) / 2;
+    for (const EdgeId a : n_e) {
+      for (const EdgeId b : neighbors_of(a)) {
+        if (b != e && n_e.count(b) == 0) ++count;
+      }
+    }
+    return count;
+  };
+
+  std::vector<EdgeId> order;  // live ids, insertion order
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    const testing::DynamicOp& op = schedule[i];
+    const uint64_t before = serial.stats().candidate_triples;
+    uint64_t want = 0;
+    if (op.kind == testing::DynamicOp::Kind::kAdd) {
+      const std::span<const NodeId> nodes(op.nodes.data(), op.nodes.size());
+      const EdgeId id = serial.AddEdge(nodes).value();
+      ASSERT_EQ(fanned.AddEdge(nodes).value(), id);
+      live[id] = std::set<NodeId>(op.nodes.begin(), op.nodes.end());
+      order.push_back(id);
+      want = expected_candidates(id);
+    } else if (op.kind == testing::DynamicOp::Kind::kRemove) {
+      const EdgeId id = order[op.remove_index];
+      order.erase(order.begin() + static_cast<ptrdiff_t>(op.remove_index));
+      want = expected_candidates(id);
+      live.erase(id);
+      ASSERT_TRUE(serial.RemoveEdge(id).ok());
+      ASSERT_TRUE(fanned.RemoveEdge(id).ok());
+    }
+    ASSERT_EQ(serial.stats().candidate_triples - before, want)
+        << "op " << i << " (seed 91)";
+    ASSERT_EQ(fanned.stats().candidate_triples,
+              serial.stats().candidate_triples)
+        << "op " << i << " (seed 91)";
+  }
+  EXPECT_GT(serial.stats().candidate_triples, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Shared test helpers: an independent brute-force h-motif counter (direct
-// set algebra over all O(|E|^3) triples, no projected graph, no
-// inclusion-exclusion), small random-hypergraph generators for
+// Shared test helpers: an independent brute-force h-motif counter and
+// per-edge row builder (direct set algebra over all O(|E|^3) triples, no
+// projected graph, no inclusion-exclusion), small random-hypergraph generators for
 // property-style sweeps, a seeded add/remove/query schedule generator
 // for fuzzing dynamic engines (RandomDynamicSchedule), and filesystem
 // fixtures for I/O tests (ScopedTempDir, CorruptFile).
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
@@ -168,6 +169,33 @@ inline MotifCounts BruteForceCounts(const Hypergraph& graph) {
     }
   }
   return counts;
+}
+
+/// Per-hyperedge participation rows by the same brute-force triple scan:
+/// rows[e][t-1] = instances of motif t containing e, each instance
+/// credited to its three member rows. O(|E|^3) — small graphs only.
+inline std::vector<std::array<double, kNumHMotifs>> BruteForceRows(
+    const Hypergraph& graph) {
+  const size_t m = graph.num_edges();
+  std::vector<std::set<NodeId>> sets(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto span = graph.edge(e);
+    sets[e] = std::set<NodeId>(span.begin(), span.end());
+  }
+  std::vector<std::array<double, kNumHMotifs>> rows(m);
+  for (auto& row : rows) row.fill(0.0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      for (size_t k = j + 1; k < m; ++k) {
+        const int id = BruteForceClassify(sets[i], sets[j], sets[k]);
+        if (id == 0) continue;
+        rows[i][id - 1] += 1.0;
+        rows[j][id - 1] += 1.0;
+        rows[k][id - 1] += 1.0;
+      }
+    }
+  }
+  return rows;
 }
 
 /// Random hypergraph for property sweeps: `num_edges` edges with sizes in
