@@ -1,10 +1,10 @@
 // Open-addressing hash map specialized for dense integer keys.
 //
-// The MoCHy-E inner loop probes pair weights `omega({j,k})` once per
-// candidate triple; std::unordered_map's chasing of heap nodes dominates
-// there, so we use a flat power-of-two table with linear probing, in the
-// spirit of the Swiss-table / RocksDB internal maps discussed in the
-// project's database C++ guides.
+// The reference MoCHy kernels (motif/reference.h) probe pair weights
+// `omega({j,k})` once per candidate triple; std::unordered_map's chasing
+// of heap nodes would dominate there, so they use a flat power-of-two
+// table with linear probing, in the spirit of the Swiss-table / RocksDB
+// internal maps.
 #ifndef MOCHY_COMMON_FLAT_MAP_H_
 #define MOCHY_COMMON_FLAT_MAP_H_
 

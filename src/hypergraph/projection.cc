@@ -1,6 +1,7 @@
 #include "hypergraph/projection.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -12,8 +13,7 @@ NeighborhoodBuilder::NeighborhoodBuilder(size_t num_edges)
   touched_.reserve(256);
 }
 
-void NeighborhoodBuilder::Compute(const Hypergraph& graph, EdgeId e,
-                                  std::vector<Neighbor>* out) {
+size_t NeighborhoodBuilder::Sweep(const Hypergraph& graph, EdgeId e) {
   for (NodeId v : graph.edge(e)) {
     for (EdgeId other : graph.edges_of(v)) {
       if (other == e) continue;
@@ -22,13 +22,29 @@ void NeighborhoodBuilder::Compute(const Hypergraph& graph, EdgeId e,
     }
   }
   std::sort(touched_.begin(), touched_.end());
-  out->clear();
-  out->reserve(touched_.size());
+  return touched_.size();
+}
+
+void NeighborhoodBuilder::Emit(Neighbor* out) {
   for (EdgeId other : touched_) {
-    out->push_back(Neighbor{other, count_[other]});
+    *out++ = Neighbor{other, count_[other]};
     count_[other] = 0;
   }
   touched_.clear();
+}
+
+void NeighborhoodBuilder::Compute(const Hypergraph& graph, EdgeId e,
+                                  std::vector<Neighbor>* out) {
+  out->resize(Sweep(graph, e));
+  Emit(out->data());
+}
+
+void NeighborhoodBuilder::ComputeInto(const Hypergraph& graph, EdgeId e,
+                                      std::span<Neighbor> row) {
+  const size_t n = Sweep(graph, e);
+  MOCHY_CHECK(n == row.size()) << "row of edge " << e << " holds "
+                               << row.size() << " entries, |N(e)| = " << n;
+  Emit(row.data());
 }
 
 uint64_t NeighborhoodBuilder::SweepCost(const Hypergraph& graph, EdgeId e) {
@@ -42,61 +58,46 @@ Result<ProjectedGraph> ProjectedGraph::Build(const Hypergraph& graph,
   if (num_threads == 0) num_threads = DefaultThreadCount();
   const size_t m = graph.num_edges();
   ProjectedGraph out;
+
+  // Pass 1: the wedge index sizes every row and locates its suffix of
+  // neighbors with id > e. A row's degree is also its cost in pass 2.
+  ProjectedDegrees degrees = ComputeProjectedDegrees(graph, num_threads);
   out.offsets_.assign(m + 1, 0);
   out.suffix_start_.assign(m, 0);
-  out.wedge_offsets_.assign(m + 1, 0);
-
-  // Per-edge neighbor lists, computed in parallel blocks.
-  std::vector<std::vector<Neighbor>> lists(m);
-  ParallelBlocks(m, num_threads,
-                 [&](size_t /*thread*/, size_t begin, size_t end) {
-                   NeighborhoodBuilder builder(m);
-                   for (size_t e = begin; e < end; ++e) {
-                     builder.Compute(graph, static_cast<EdgeId>(e),
-                                     &lists[e]);
-                   }
-                 });
-
-  // Flatten into CSR and compute wedge bookkeeping.
-  uint64_t total_adj = 0;
-  for (size_t e = 0; e < m; ++e) total_adj += lists[e].size();
-  out.adj_.reserve(total_adj);
-  uint64_t wedges = 0;
-  uint64_t total_weight = 0;
+  std::vector<uint64_t> cost(m);
   for (size_t e = 0; e < m; ++e) {
-    const auto& list = lists[e];
-    // First neighbor with id > e: neighbors are sorted, so a suffix.
-    size_t suffix = list.size();
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (list[i].edge > e) {
-        suffix = i;
-        break;
+    cost[e] = degrees.degree[e];
+    out.offsets_[e + 1] = out.offsets_[e] + degrees.degree[e];
+    out.suffix_start_[e] = static_cast<uint32_t>(
+        degrees.degree[e] -
+        (degrees.wedge_prefix[e + 1] - degrees.wedge_prefix[e]));
+  }
+  out.num_wedges_ = degrees.num_wedges;
+  out.wedge_offsets_ = std::move(degrees.wedge_prefix);
+
+  // Pass 2: sweep each row straight into its presized slot. Rows are
+  // claimed in chunks of near-equal summed degree (projected degrees are
+  // heavy-tailed); each worker keeps one builder and an integer weight
+  // partial.
+  out.adj_.resize(out.offsets_[m]);
+  std::vector<std::optional<NeighborhoodBuilder>> builders(num_threads);
+  std::vector<uint64_t> weight_partial(num_threads, 0);
+  ParallelWorkChunks(cost, num_threads,
+                     [&](size_t worker, size_t begin, size_t end) {
+    std::optional<NeighborhoodBuilder>& builder = builders[worker];
+    if (!builder.has_value()) builder.emplace(m);
+    uint64_t weight = 0;
+    for (size_t e = begin; e < end; ++e) {
+      Neighbor* row = out.adj_.data() + out.offsets_[e];
+      const size_t degree = out.offsets_[e + 1] - out.offsets_[e];
+      builder->ComputeInto(graph, static_cast<EdgeId>(e), {row, degree});
+      for (size_t i = out.suffix_start_[e]; i < degree; ++i) {
+        weight += row[i].weight;
       }
     }
-    out.suffix_start_[e] = static_cast<uint32_t>(suffix);
-    const uint64_t wedges_here = list.size() - suffix;
-    out.wedge_offsets_[e + 1] = out.wedge_offsets_[e] + wedges_here;
-    wedges += wedges_here;
-    out.adj_.insert(out.adj_.end(), list.begin(), list.end());
-    out.offsets_[e + 1] = out.adj_.size();
-    for (size_t i = suffix; i < list.size(); ++i) {
-      total_weight += list[i].weight;
-    }
-    lists[e].clear();
-    lists[e].shrink_to_fit();
-  }
-  out.num_wedges_ = wedges;
-  out.total_weight_ = total_weight;
-
-  // O(1) pair-weight probes for the MoCHy-E inner loop.
-  out.weight_map_ = FlatMap64<uint32_t>(wedges);
-  for (size_t e = 0; e < m; ++e) {
-    const auto span = out.neighbors(static_cast<EdgeId>(e));
-    for (size_t i = out.suffix_start_[e]; i < span.size(); ++i) {
-      out.weight_map_.Put(PackPair(static_cast<EdgeId>(e), span[i].edge),
-                          span[i].weight);
-    }
-  }
+    weight_partial[worker] += weight;
+  });
+  for (const uint64_t weight : weight_partial) out.total_weight_ += weight;
   return out;
 }
 
@@ -104,10 +105,19 @@ uint64_t ProjectedGraph::MemoryBytes() const {
   return offsets_.size() * sizeof(uint64_t) +
          adj_.size() * sizeof(Neighbor) +
          wedge_offsets_.size() * sizeof(uint64_t) +
-         suffix_start_.size() * sizeof(uint32_t) + weight_map_.MemoryBytes();
+         suffix_start_.size() * sizeof(uint32_t);
 }
 
-std::pair<EdgeId, EdgeId> ProjectedGraph::WedgeAt(uint64_t k) const {
+uint32_t ProjectedGraph::Weight(EdgeId a, EdgeId b) const {
+  if (degree(a) > degree(b)) std::swap(a, b);
+  const auto row = neighbors(a);
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), b,
+      [](const Neighbor& n, EdgeId id) { return n.edge < id; });
+  return it != row.end() && it->edge == b ? it->weight : 0;
+}
+
+std::pair<EdgeId, Neighbor> ProjectedGraph::WedgeAt(uint64_t k) const {
   MOCHY_DCHECK(k < num_wedges_);
   // Find the source edge via binary search over the wedge prefix sums.
   const auto it = std::upper_bound(wedge_offsets_.begin(),
@@ -115,8 +125,7 @@ std::pair<EdgeId, EdgeId> ProjectedGraph::WedgeAt(uint64_t k) const {
   const size_t e = static_cast<size_t>(it - wedge_offsets_.begin()) - 1;
   const uint64_t within = k - wedge_offsets_[e];
   const auto span = neighbors(static_cast<EdgeId>(e));
-  const Neighbor& n = span[suffix_start_[e] + within];
-  return {static_cast<EdgeId>(e), n.edge};
+  return {static_cast<EdgeId>(e), span[suffix_start_[e] + within]};
 }
 
 ProjectedDegrees ComputeProjectedDegrees(const Hypergraph& graph,
@@ -163,14 +172,9 @@ uint64_t EstimateProjectionBytes(const ProjectedDegrees& degrees) {
   const size_t m = degrees.degree.size();
   uint64_t adjacency = 0;
   for (uint32_t d : degrees.degree) adjacency += d;
-  // Mirror FlatMap64's sizing: capacity is the first power of two keeping
-  // the load factor <= 7/8 for |∧| entries, doubled by the constructor.
-  uint64_t cap = 16;
-  while (cap * 7 < degrees.num_wedges * 8) cap <<= 1;
-  const uint64_t map_bytes = cap * 2 * (sizeof(uint64_t) + sizeof(uint32_t));
   return (m + 1) * sizeof(uint64_t) * 2 +  // offsets_ + wedge_offsets_
          m * sizeof(uint32_t) +            // suffix_start_
-         adjacency * sizeof(Neighbor) + map_bytes;
+         adjacency * sizeof(Neighbor);
 }
 
 }  // namespace mochy

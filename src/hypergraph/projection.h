@@ -4,9 +4,11 @@
 /// Hyperedges become vertices; two are adjacent iff they share a node,
 /// with weight omega = |e_i ∩ e_j|. Every MoCHy variant runs on this
 /// structure. Both adjacency directions are materialized (neighbor lists
-/// per edge, sorted by neighbor id), hyperwedges {i, j} are indexable for
-/// uniform sampling (MoCHy-A+), and an open-addressing table provides the
-/// O(1) pair weight probes the MoCHy-E inner loop needs.
+/// per edge, sorted by neighbor id), and hyperwedges {i, j} are indexable
+/// for uniform sampling (MoCHy-A+). There is no pair-weight table: the
+/// kernels read omega from the rows they already walk (stamped scatters
+/// of N(e_j), a forward cursor, or the sampled wedge itself), and
+/// Weight() binary-searches a sorted row.
 ///
 /// Materializing all of this costs O(|E| + Σ_e |N_e|) memory
 /// (MemoryBytes() reports it exactly, EstimateProjectionBytes() predicts
@@ -22,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/status.h"
 #include "hypergraph/hypergraph.h"
 
@@ -48,24 +49,37 @@ class NeighborhoodBuilder {
   /// Computes N(e) with weights into `out`, sorted by edge id.
   void Compute(const Hypergraph& graph, EdgeId e, std::vector<Neighbor>* out);
 
+  /// Computes N(e) with weights straight into `row`, sorted by edge id;
+  /// `row` must hold exactly |N(e)| entries (e.g. a presized CSR row).
+  void ComputeInto(const Hypergraph& graph, EdgeId e, std::span<Neighbor> row);
+
   /// Cost of Compute(graph, e): Σ_{v∈e} d(v) incidence entries swept.
   static uint64_t SweepCost(const Hypergraph& graph, EdgeId e);
 
  private:
+  // Counts e's neighbors into count_/touched_ and returns |N(e)|.
+  size_t Sweep(const Hypergraph& graph, EdgeId e);
+  // Writes the swept neighborhood to `out` in id order and resets the
+  // scratch.
+  void Emit(Neighbor* out);
+
   std::vector<uint32_t> count_;
   std::vector<EdgeId> touched_;
 };
 
-/// The materialized projected graph: CSR adjacency over hyperedges, the
-/// hyperwedge index, and the O(1) pair-weight table. Immutable once
-/// built; safe to share across threads.
+/// The materialized projected graph: CSR adjacency over hyperedges and
+/// the hyperwedge index. Immutable once built; safe to share across
+/// threads.
 class ProjectedGraph {
  public:
   /// An empty projection (no edges); assign a Build() result into it.
   ProjectedGraph() = default;
 
   /// Builds the projection of `graph` using `num_threads` workers
-  /// (0 = DefaultThreadCount()).
+  /// (0 = DefaultThreadCount()) in two passes: the wedge index
+  /// (ComputeProjectedDegrees) sizes every row, then each row is swept
+  /// straight into its slot of the CSR adjacency, rows claimed in
+  /// cost-balanced chunks. The result is identical at any thread count.
   static Result<ProjectedGraph> Build(const Hypergraph& graph,
                                       size_t num_threads = 1);
 
@@ -83,24 +97,24 @@ class ProjectedGraph {
   /// |∧| — total number of hyperwedges (unordered adjacent pairs).
   uint64_t num_wedges() const { return num_wedges_; }
 
-  /// omega({a, b}); 0 when the edges are not adjacent. O(1) expected.
-  uint32_t Weight(EdgeId a, EdgeId b) const {
-    if (a == b) return 0;
-    return weight_map_.GetOr(PackPair(a, b), 0);
-  }
+  /// omega({a, b}); 0 when the edges are not adjacent (or a == b). A
+  /// binary search of the shorter of N(a), N(b): O(log min degree). The
+  /// counting kernels never call it per pair.
+  uint32_t Weight(EdgeId a, EdgeId b) const;
 
-  /// The k-th hyperwedge, k in [0, num_wedges()), as (i, j) with i < j.
-  /// Wedges are ordered by (i, then j); used for uniform wedge sampling.
-  std::pair<EdgeId, EdgeId> WedgeAt(uint64_t k) const;
+  /// The k-th hyperwedge, k in [0, num_wedges()), as (e_i, its neighbor
+  /// e_j with weight omega) with i < j. Wedges are ordered by (i, then
+  /// j); used for uniform wedge sampling.
+  std::pair<EdgeId, Neighbor> WedgeAt(uint64_t k) const;
 
   /// Sum over all wedges of omega (useful for Lemma 1 cost accounting and
   /// for the weighted wedge sampler).
   uint64_t total_weight() const { return total_weight_; }
 
   /// Heap footprint in bytes of the materialized structure (CSR adjacency,
-  /// offsets, wedge index, pair-weight table). This is the number the
-  /// engine's memory-bounded projection policy compares against its byte
-  /// budget; see docs/MEMORY.md for the accounting model.
+  /// offsets, wedge index). This is the number the engine's
+  /// memory-bounded projection policy compares against its byte budget;
+  /// see docs/MEMORY.md for the accounting model.
   uint64_t MemoryBytes() const;
 
  private:
@@ -108,7 +122,6 @@ class ProjectedGraph {
   std::vector<Neighbor> adj_;                 // both directions
   std::vector<uint64_t> wedge_offsets_ = {0};  // prefix of #wedges (j > i)
   std::vector<uint32_t> suffix_start_;        // index in neighbors(e) of first j > e
-  FlatMap64<uint32_t> weight_map_;            // PackPair(i,j) -> omega
   uint64_t num_wedges_ = 0;
   uint64_t total_weight_ = 0;
 };
@@ -131,11 +144,11 @@ struct ProjectedDegrees {
 ProjectedDegrees ComputeProjectedDegrees(const Hypergraph& graph,
                                          size_t num_threads = 1);
 
-/// Predicts ProjectedGraph::Build(graph).MemoryBytes() from the wedge
-/// index alone, in O(1), without materializing anything: the adjacency is
-/// Σ_e |N_e| entries, the pair-weight table is sized from |∧| exactly as
-/// Build() sizes it. Used by the engine's kAuto projection policy to pick
-/// lazy vs. materialized against a byte budget.
+/// Predicts ProjectedGraph::Build(graph).MemoryBytes() exactly from the
+/// wedge index alone, in O(|E|), without materializing anything: the
+/// adjacency is Σ_e |N_e| entries beside three |E|-sized index arrays.
+/// Used by the engine's kAuto projection policy to pick lazy vs.
+/// materialized against a byte budget.
 uint64_t EstimateProjectionBytes(const ProjectedDegrees& degrees);
 
 }  // namespace mochy

@@ -4,10 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include "common/fault.h"
 
@@ -17,27 +18,59 @@ namespace {
 
 constexpr size_t kRecordHeaderBytes = 8;  // u32 payload_len + u32 checksum
 constexpr size_t kNeighborWireBytes = 8;  // u32 edge + u32 weight
+// Neighbors go to and from disk as raw bytes in one memcpy.
+static_assert(sizeof(Neighbor) == kNeighborWireBytes &&
+                  std::endian::native == std::endian::little,
+              "spill records copy Neighbor arrays verbatim");
 // Guards the reader against a corrupt length prefix asking for an
 // absurd allocation; generous next to any real neighborhood.
 constexpr uint32_t kMaxPayloadBytes = 1u << 30;
+constexpr std::string_view kKeyPrefix = "spill##";
+// "spill##" + u32 edge + "##" + u64 count + "\n".
+constexpr size_t kMaxKeyBytes = 7 + 10 + 2 + 20 + 1;
 
+// FNV-style over 8-byte words, then the tail bytes, folded to 32 bits.
+// The xor-shift per word feeds high bits back down; every step is a
+// bijection of the state, so any single differing word changes it.
 uint32_t Checksum32(const unsigned char* data, size_t len) {
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, sizeof word);
+    h = (h ^ word) * kPrime;
+    h ^= h >> 32;
   }
+  for (; i < len; ++i) h = (h ^ data[i]) * kPrime;
   return static_cast<uint32_t>(h ^ (h >> 32));
-}
-
-void PutU32(std::vector<unsigned char>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
 }
 
 uint32_t GetU32(const unsigned char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof v);
   return v;
+}
+
+// Parses the key "spill##<edge>##<count>\n" at the front of [p, end);
+// on success `*body` points just past the newline.
+bool ParseKey(const char* p, const char* end, uint32_t* edge,
+              uint64_t* count, const char** body) {
+  if (static_cast<size_t>(end - p) < kKeyPrefix.size() ||
+      std::memcmp(p, kKeyPrefix.data(), kKeyPrefix.size()) != 0) {
+    return false;
+  }
+  auto parsed = std::from_chars(p + kKeyPrefix.size(), end, *edge);
+  if (parsed.ec != std::errc() || end - parsed.ptr < 2 ||
+      parsed.ptr[0] != '#' || parsed.ptr[1] != '#') {
+    return false;
+  }
+  parsed = std::from_chars(parsed.ptr + 2, end, *count);
+  if (parsed.ec != std::errc() || parsed.ptr == end || *parsed.ptr != '\n') {
+    return false;
+  }
+  *body = parsed.ptr + 1;
+  return true;
 }
 
 // pwrite() the whole buffer at `offset`, retrying partial writes.
@@ -92,27 +125,35 @@ SpillLog::~SpillLog() {
 bool SpillLog::Append(EdgeId e, std::span<const Neighbor> neighbors) {
   if (index_.find(e) != index_.end()) return false;  // identical bytes live
 
-  char key[64];
-  const int key_len =
-      std::snprintf(key, sizeof key, "spill##%" PRIu32 "##%zu\n",
-                    static_cast<uint32_t>(e), neighbors.size());
+  // [header][key][neighbors], built in the reused record_ buffer.
+  // Each field's bound leaves room for the delimiters after it, so even
+  // a (never hit) to_chars overflow stays inside the buffer.
+  char key[kMaxKeyBytes];
+  char* key_end = std::copy(kKeyPrefix.begin(), kKeyPrefix.end(), key);
+  key_end = std::to_chars(key_end, key + kKeyPrefix.size() + 10,
+                          static_cast<uint32_t>(e))
+                .ptr;
+  *key_end++ = '#';
+  *key_end++ = '#';
+  key_end = std::to_chars(key_end, key + kMaxKeyBytes - 1,
+                          static_cast<uint64_t>(neighbors.size()))
+                .ptr;
+  *key_end++ = '\n';
+  const size_t key_len = static_cast<size_t>(key_end - key);
+  const size_t payload_len = key_len + neighbors.size() * kNeighborWireBytes;
 
-  std::vector<unsigned char> payload;
-  payload.reserve(static_cast<size_t>(key_len) +
-                  neighbors.size() * kNeighborWireBytes);
-  payload.insert(payload.end(), key, key + key_len);
-  for (const Neighbor& n : neighbors) {
-    PutU32(&payload, n.edge);
-    PutU32(&payload, n.weight);
+  record_.resize(kRecordHeaderBytes + payload_len);
+  unsigned char* payload = record_.data() + kRecordHeaderBytes;
+  std::memcpy(payload, key, key_len);
+  if (!neighbors.empty()) {
+    std::memcpy(payload + key_len, neighbors.data(),
+                neighbors.size() * kNeighborWireBytes);
   }
+  const uint32_t header[2] = {static_cast<uint32_t>(payload_len),
+                              Checksum32(payload, payload_len)};
+  std::memcpy(record_.data(), header, sizeof header);
 
-  std::vector<unsigned char> record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, Checksum32(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
-
-  size_t write_bytes = record.size();
+  size_t write_bytes = record_.size();
   const FaultAction fault = MOCHY_FAULT_POINT("spill.append");
   if (fault.kind == FaultAction::Kind::kError) return false;  // spill dropped
   if (fault.kind == FaultAction::Kind::kShortIo) {
@@ -121,10 +162,10 @@ bool SpillLog::Append(EdgeId e, std::span<const Neighbor> neighbors) {
     // ReadRecord detects it by checksum and the caller recomputes.
     write_bytes = std::min(write_bytes, fault.max_bytes);
   }
-  if (!PwriteAll(fd_, record.data(), write_bytes, end_offset_)) return false;
+  if (!PwriteAll(fd_, record_.data(), write_bytes, end_offset_)) return false;
 
-  index_[e] = RecordRef{end_offset_, static_cast<uint32_t>(record.size())};
-  end_offset_ += record.size();
+  index_[e] = RecordRef{end_offset_, static_cast<uint32_t>(record_.size())};
+  end_offset_ += record_.size();
   return true;
 }
 
@@ -143,51 +184,40 @@ bool SpillLog::ReadRecord(const RecordRef& ref, EdgeId expect,
       ref.length - kRecordHeaderBytes > kMaxPayloadBytes) {
     return false;
   }
-  std::vector<unsigned char> record(ref.length);
+  // The caller's buffer doubles as the read buffer: the whole record
+  // lands in it, then the neighbors move down to its front.
+  out->resize((ref.length + sizeof(Neighbor) - 1) / sizeof(Neighbor));
+  unsigned char* record = reinterpret_cast<unsigned char*>(out->data());
 
-  size_t read_bytes = record.size();
+  size_t read_bytes = ref.length;
   const FaultAction fault = MOCHY_FAULT_POINT("spill.read");
   if (fault.kind == FaultAction::Kind::kError) return false;
   if (fault.kind == FaultAction::Kind::kShortIo) {
     read_bytes = std::min(read_bytes, fault.max_bytes);
   }
-  if (!PreadAll(fd_, record.data(), read_bytes, ref.offset)) return false;
-  if (read_bytes < record.size()) return false;  // short read: torn record
+  if (!PreadAll(fd_, record, read_bytes, ref.offset)) return false;
+  if (read_bytes < ref.length) return false;  // short read: torn record
 
-  const uint32_t payload_len = GetU32(record.data());
+  const uint32_t payload_len = GetU32(record);
   if (payload_len != ref.length - kRecordHeaderBytes) return false;
-  const unsigned char* payload = record.data() + kRecordHeaderBytes;
-  if (GetU32(record.data() + 4) != Checksum32(payload, payload_len)) {
-    return false;
-  }
+  const unsigned char* payload = record + kRecordHeaderBytes;
+  if (GetU32(record + 4) != Checksum32(payload, payload_len)) return false;
 
-  // Parse the delimited key: "spill##<edge>##<count>\n".
   const char* text = reinterpret_cast<const char*>(payload);
-  const void* newline = std::memchr(text, '\n', payload_len);
-  if (newline == nullptr) return false;
-  const size_t key_len =
-      static_cast<size_t>(static_cast<const char*>(newline) - text) + 1;
-  const std::string key(text, key_len);  // NUL-terminate for sscanf
+  const char* end = text + payload_len;
   uint32_t edge = 0;
-  size_t count = 0;
-  char trailer = 0;
-  if (std::sscanf(key.c_str(), "spill##%" SCNu32 "##%zu%c", &edge, &count,
-                  &trailer) != 3 ||
-      trailer != '\n' || edge != expect) {
+  uint64_t count = 0;
+  const char* body = nullptr;
+  if (!ParseKey(text, end, &edge, &count, &body) || edge != expect) {
     return false;
   }
-  if (payload_len - key_len != count * kNeighborWireBytes) return false;
-
-  out->clear();
-  out->reserve(count);
-  const unsigned char* cursor = payload + key_len;
-  for (size_t i = 0; i < count; ++i) {
-    Neighbor n;
-    n.edge = GetU32(cursor);
-    n.weight = GetU32(cursor + 4);
-    out->push_back(n);
-    cursor += kNeighborWireBytes;
+  const size_t body_len = static_cast<size_t>(end - body);
+  if (body_len % kNeighborWireBytes != 0 ||
+      count != body_len / kNeighborWireBytes) {
+    return false;
   }
+  std::memmove(out->data(), body, body_len);
+  out->resize(count);
   return true;
 }
 

@@ -77,7 +77,8 @@ class SpillLog {
   /// Reads and verifies the record at `ref`, expecting it to carry edge
   /// `expect`. On success fills `*out` with the neighborhood and returns
   /// true; any short read, checksum mismatch, or key disagreement
-  /// returns false. Fault point: "spill.read".
+  /// returns false and leaves `*out` with unspecified contents (it is
+  /// the read buffer). Fault point: "spill.read".
   bool ReadRecord(const RecordRef& ref, EdgeId expect,
                   std::vector<Neighbor>* out) const;
 
@@ -96,6 +97,7 @@ class SpillLog {
   int fd_ = -1;
   uint64_t end_offset_ = 0;
   std::unordered_map<EdgeId, RecordRef> index_;
+  std::vector<unsigned char> record_;  // Append's reused record buffer
 };
 
 }  // namespace mochy

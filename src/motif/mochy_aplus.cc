@@ -103,12 +103,11 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
     for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
       Rng rng = base.Fork(n);
       const uint64_t k = rng.UniformInt(wedges);
-      const auto [ei, ej] = projection.WedgeAt(k);
-      const uint64_t w_ij = projection.Weight(ei, ej);
-      MOCHY_DCHECK(w_ij > 0);
-      ProcessWedge(graph, ei, ej, w_ij, projection.neighbors(ei),
-                   projection.neighbors(ej), size_of.data(), arena,
-                   partial[thread]);
+      const auto [ei, picked] = projection.WedgeAt(k);
+      MOCHY_DCHECK(picked.weight > 0);
+      ProcessWedge(graph, ei, picked.edge, picked.weight,
+                   projection.neighbors(ei), projection.neighbors(picked.edge),
+                   size_of.data(), arena, partial[thread]);
     }
   };
   ParallelWorkers(num_threads, worker);

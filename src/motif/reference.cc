@@ -4,11 +4,33 @@
 #include <atomic>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 
 namespace mochy::reference {
+
+namespace {
+
+/// PackPair(i, j) -> omega for every hyperwedge: the O(1) pair-weight
+/// probe these kernels were written against.
+FlatMap64<uint32_t> PairWeightTable(const ProjectedGraph& projection) {
+  FlatMap64<uint32_t> table(projection.num_wedges());
+  for (EdgeId e = 0; e < projection.num_edges(); ++e) {
+    for (const Neighbor& n : projection.neighbors(e)) {
+      if (n.edge > e) table.Put(PackPair(e, n.edge), n.weight);
+    }
+  }
+  return table;
+}
+
+uint32_t PairWeight(const FlatMap64<uint32_t>& table, EdgeId a, EdgeId b) {
+  return table.GetOr(PackPair(a, b), 0);
+}
+
+}  // namespace
 
 MotifCounts CountMotifsExact(const Hypergraph& graph,
                              const ProjectedGraph& projection,
@@ -17,6 +39,7 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
   MOCHY_CHECK(projection.num_edges() == m)
       << "projection does not match hypergraph";
   if (num_threads == 0) num_threads = DefaultThreadCount();
+  const FlatMap64<uint32_t> weights = PairWeightTable(projection);
 
   std::vector<MotifCounts> partial(num_threads);
   // Work stealing over hubs, one atomic claim per hub: per-hub work is
@@ -37,7 +60,7 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
         const uint64_t size_j = graph.edge_size(ej);
         for (size_t b = a + 1; b < nbrs.size(); ++b) {
           const EdgeId ek = nbrs[b].edge;
-          const uint64_t w_jk = projection.Weight(ej, ek);
+          const uint64_t w_jk = PairWeight(weights, ej, ek);
           // Count open instances at their unique hub; closed instances
           // only from the smallest hub id (Algorithm 2, line 4).
           if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
@@ -68,7 +91,8 @@ namespace {
 /// contains e_i and increments raw counts. `stamp` is an |E|-sized scratch
 /// with stamp[e] = omega(e_i, e) for e in N(e_i), 0 elsewhere.
 void ProcessSampledEdge(const Hypergraph& graph,
-                        const ProjectedGraph& projection, EdgeId ei,
+                        const ProjectedGraph& projection,
+                        const FlatMap64<uint32_t>& weights, EdgeId ei,
                         std::vector<uint32_t>& stamp, MotifCounts& raw) {
   const auto nbrs = projection.neighbors(ei);
   for (const Neighbor& n : nbrs) stamp[n.edge] = n.weight;
@@ -84,7 +108,7 @@ void ProcessSampledEdge(const Hypergraph& graph,
       const EdgeId ek = nbrs[b].edge;
       const uint64_t w_ik = nbrs[b].weight;
       const uint64_t size_k = graph.edge_size(ek);
-      const uint64_t w_jk = projection.Weight(ej, ek);
+      const uint64_t w_jk = PairWeight(weights, ej, ek);
       const uint64_t w_ijk =
           w_jk == 0 ? 0 : graph.TripleIntersectionSize(ei, ej, ek);
       // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
@@ -175,6 +199,7 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
   if (num_threads > options.num_samples) {
     num_threads = static_cast<size_t>(options.num_samples);
   }
+  const FlatMap64<uint32_t> weights = PairWeightTable(projection);
   std::vector<MotifCounts> partial(num_threads);
   const Rng base(options.seed);
 
@@ -184,7 +209,8 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
       // Per-sample fork: the estimate is identical for any thread count.
       Rng rng = base.Fork(n);
       const EdgeId ei = static_cast<EdgeId>(rng.UniformInt(m));
-      ProcessSampledEdge(graph, projection, ei, stamp, partial[thread]);
+      ProcessSampledEdge(graph, projection, weights, ei, stamp,
+                         partial[thread]);
     }
   };
   ParallelWorkers(num_threads, worker);
@@ -211,6 +237,7 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
   if (num_threads > options.num_samples) {
     num_threads = static_cast<size_t>(options.num_samples);
   }
+  const FlatMap64<uint32_t> weights = PairWeightTable(projection);
   std::vector<MotifCounts> partial(num_threads);
   const Rng base(options.seed);
 
@@ -219,8 +246,9 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
     for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
       Rng rng = base.Fork(n);
       const uint64_t k = rng.UniformInt(wedges);
-      const auto [ei, ej] = projection.WedgeAt(k);
-      const uint64_t w_ij = projection.Weight(ei, ej);
+      const auto [ei, nj] = projection.WedgeAt(k);
+      const EdgeId ej = nj.edge;
+      const uint64_t w_ij = PairWeight(weights, ei, ej);
       MOCHY_DCHECK(w_ij > 0);
       ProcessWedge(graph, ei, ej, w_ij, projection.neighbors(ei),
                    projection.neighbors(ej), stamp_i, stamp_j,

@@ -2,8 +2,9 @@
 /// Retained pre-stamp-array counting kernels (the hash-probe baselines).
 ///
 /// These are the MoCHy-E/A/A+ implementations as they stood before the
-/// stamp-array rewrite: the exact counter probes `ProjectedGraph::Weight`
-/// (an open-addressing hash table) once per candidate pair and computes
+/// stamp-array rewrite: the exact counter probes an open-addressing
+/// pair-weight table (built once per call from the projection, as the
+/// projection itself used to hold it) once per candidate pair and computes
 /// triple intersections with Lemma-2 binary searches; the samplers clear
 /// their |E|-sized scratch explicitly after every sample. They are kept,
 /// verbatim, for two purposes:

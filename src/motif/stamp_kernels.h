@@ -19,7 +19,7 @@
 //    uint32_t array, so the innermost loop reads 4 bytes instead of
 //    differencing two uint64 CSR offsets;
 //  - stamped pair weights: e_j's projected neighborhood scattered into an
-//    epoch-stamped array turns the per-pair w_jk hash probe into one load;
+//    epoch-stamped array turns the per-pair w_jk lookup into one load;
 //  - stamped triple intersections: e_i is scattered into a node set once
 //    per hub, e_i ∩ e_j once per pair (lazily, first closed triple only),
 //    after which |e_i ∩ e_j ∩ e_k| is a marked-count scan of e_k alone —
@@ -99,8 +99,9 @@ uint64_t StampedTripleIntersection(const Graph& graph, EdgeId ek,
 
 // Scattering N(e_j) costs |N_j| writes and is amortized over the pairs
 // still to come in the hub's pair loop. When the tail of the pair loop is
-// short and N(e_j) is huge, fall back to per-pair hash probes for this
-// e_j: identical counts, better constant.
+// short and N(e_j) is huge, look w_jk up in the sorted N(e_j) instead: the
+// e_k ascend, so one forward lower_bound cursor serves the whole tail.
+// Identical counts, better constant.
 inline bool WorthScattering(size_t neighborhood, size_t remaining_pairs) {
   return neighborhood <= 16 + 4 * remaining_pairs;
 }
@@ -131,14 +132,24 @@ void VisitHub(const Hypergraph& graph, const ProjectedGraph& projection,
       arena.edge_weight.NewEpoch();
       for (const Neighbor& n : nbrs_j) arena.edge_weight.Set(n.edge, n.weight);
     }
+    // Unscattered: the first entry of N(e_j) not yet passed by e_k.
+    auto cursor = nbrs_j.begin();
     // e_i ∩ e_j is scattered lazily: only hubs whose pair loop actually
     // reaches a closed triple pay for it.
     bool pair_ready = false;
 
     for (size_t b = a + 1; b < nbrs.size(); ++b) {
       const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_jk =
-          scattered ? arena.edge_weight.Get(ek) : projection.Weight(ej, ek);
+      uint64_t w_jk;
+      if (scattered) {
+        w_jk = arena.edge_weight.Get(ek);
+      } else {
+        cursor = std::lower_bound(
+            cursor, nbrs_j.end(), ek,
+            [](const Neighbor& n, EdgeId id) { return n.edge < id; });
+        w_jk = cursor != nbrs_j.end() && cursor->edge == ek ? cursor->weight
+                                                             : 0;
+      }
       // Count open instances at their unique hub; closed instances only
       // from the smallest hub id (Algorithm 2, line 4).
       if (w_jk != 0 && ei >= std::min(ej, ek)) continue;

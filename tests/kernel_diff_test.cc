@@ -26,6 +26,7 @@
 #include "motif/mochy_e.h"
 #include "motif/per_edge.h"
 #include "motif/reference.h"
+#include "motif/stamp_kernels.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -68,9 +69,41 @@ Hypergraph RandomWithDuplicates(size_t num_nodes, size_t num_edges,
   return std::move(builder).Build(options).value();
 }
 
+/// A star: one 40-node hyperedge (id 60) that ~100 small edges touch.
+/// Its projected degree is far above 16 + 4 × the pairs left after it in
+/// any small hub's neighbor list, so the hub loop skips scattering N(e_j)
+/// there (WorthScattering is false) and resolves w_jk with its forward
+/// cursor over the sorted N(e_j).
+Hypergraph StarGraph() {
+  Rng rng(41);
+  HypergraphBuilder builder;
+  std::vector<NodeId> edge;
+  for (size_t e = 0; e < 120; ++e) {
+    edge.clear();
+    if (e == 60) {
+      for (NodeId v = 0; v < 40; ++v) edge.push_back(v);
+    } else {
+      // 1-2 nodes of the star edge, 1-2 of a 30-node rim.
+      const size_t inner = 1 + rng.UniformInt(2);
+      const size_t outer = 1 + rng.UniformInt(2);
+      for (uint64_t v : rng.SampleDistinct(40, inner)) {
+        edge.push_back(static_cast<NodeId>(v));
+      }
+      for (uint64_t v : rng.SampleDistinct(30, outer)) {
+        edge.push_back(static_cast<NodeId>(40 + v));
+      }
+    }
+    builder.AddEdge(std::span<const NodeId>(edge.data(), edge.size()));
+  }
+  BuildOptions options;
+  options.dedup_edges = false;
+  return std::move(builder).Build(options).value();
+}
+
 /// The test corpus: low-skew sparse, high-skew dense (few nodes, many
-/// edges => heavy-tailed projected degrees), a domain-generator graph and
-/// a duplicate-heavy graph.
+/// edges => heavy-tailed projected degrees), a domain-generator graph, a
+/// duplicate-heavy graph and a star whose hub rows take the unscattered
+/// w_jk path.
 std::vector<Hypergraph> DiffCorpus() {
   std::vector<Hypergraph> graphs;
   graphs.push_back(testing::RandomHypergraph(60, 80, 2, 5, 11));
@@ -79,7 +112,26 @@ std::vector<Hypergraph> DiffCorpus() {
   config.seed = 7;
   graphs.push_back(GenerateDomainHypergraph(config).value());
   graphs.push_back(RandomWithDuplicates(40, 90, 2, 6, 31));
+  graphs.push_back(StarGraph());
   return graphs;
+}
+
+TEST(KernelDiffTest, StarGraphTakesTheUnscatteredPath) {
+  // Guards the corpus: some hub pair must reach e_j = the star edge with
+  // too few pairs left to scatter its neighborhood.
+  const Hypergraph graph = StarGraph();
+  const auto projection = ProjectedGraph::Build(graph, 1).value();
+  uint64_t unscattered = 0;
+  for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
+    const auto nbrs = projection.neighbors(ei);
+    for (size_t a = 0; a + 1 < nbrs.size(); ++a) {
+      if (!internal::WorthScattering(projection.degree(nbrs[a].edge),
+                                     nbrs.size() - a - 1)) {
+        ++unscattered;
+      }
+    }
+  }
+  EXPECT_GT(unscattered, 10u);
 }
 
 std::vector<size_t> ThreadCounts() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "hypergraph/builder.h"
 #include "tests/test_util.h"
@@ -50,9 +51,11 @@ TEST(ProjectionTest, WedgeAtEnumeratesAllWedgesOnce) {
   const ProjectedGraph p = ProjectedGraph::Build(g).value();
   std::set<std::pair<EdgeId, EdgeId>> wedges;
   for (uint64_t k = 0; k < p.num_wedges(); ++k) {
-    const auto [i, j] = p.WedgeAt(k);
+    const auto [i, nj] = p.WedgeAt(k);
+    const EdgeId j = nj.edge;
     EXPECT_LT(i, j);
-    EXPECT_GT(p.Weight(i, j), 0u);
+    EXPECT_GT(nj.weight, 0u);
+    EXPECT_EQ(p.Weight(i, j), nj.weight);
     EXPECT_TRUE(wedges.emplace(i, j).second) << "duplicate wedge";
   }
   EXPECT_EQ(wedges.size(), p.num_wedges());
@@ -74,19 +77,75 @@ TEST(ProjectionTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
+/// A hub-heavy graph: a few nodes carry most incidences, so projected
+/// degrees and per-row sweep costs are heavy-tailed.
+Hypergraph SkewedGraph() {
+  return testing::RandomHypergraph(12, 150, 1, 8, 3);
+}
+
+/// Duplicate hyperedges retained (dedup off, as null models run).
+Hypergraph DuplicateEdgeGraph() {
+  HypergraphBuilder builder;
+  for (int copy = 0; copy < 3; ++copy) {
+    builder.AddEdge({0, 1, 2});
+    builder.AddEdge({2, 3});
+  }
+  builder.AddEdge({1, 4, 5});
+  builder.AddEdge({5, 6});
+  BuildOptions options;
+  options.dedup_edges = false;
+  return std::move(builder).Build(options).value();
+}
+
 TEST(ProjectionTest, ParallelBuildMatchesSerial) {
-  const Hypergraph g = testing::RandomHypergraph(60, 120, 1, 8, 3);
-  const ProjectedGraph serial = ProjectedGraph::Build(g, 1).value();
-  const ProjectedGraph parallel = ProjectedGraph::Build(g, 4).value();
-  EXPECT_EQ(serial.num_wedges(), parallel.num_wedges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto a = serial.neighbors(e);
-    const auto b = parallel.neighbors(e);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].edge, b[i].edge);
-      EXPECT_EQ(a[i].weight, b[i].weight);
+  for (const Hypergraph& g :
+       {testing::RandomHypergraph(60, 120, 1, 8, 3), SkewedGraph(),
+        DuplicateEdgeGraph()}) {
+    const ProjectedGraph serial = ProjectedGraph::Build(g, 1).value();
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{0}}) {
+      const ProjectedGraph parallel = ProjectedGraph::Build(g, threads).value();
+      const std::string label = "m=" + std::to_string(g.num_edges()) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(serial.num_edges(), parallel.num_edges()) << label;
+      EXPECT_EQ(serial.num_wedges(), parallel.num_wedges()) << label;
+      EXPECT_EQ(serial.total_weight(), parallel.total_weight()) << label;
+      EXPECT_EQ(serial.MemoryBytes(), parallel.MemoryBytes()) << label;
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        const auto a = serial.neighbors(e);
+        const auto b = parallel.neighbors(e);
+        ASSERT_EQ(a.size(), b.size()) << label << " edge " << e;
+        for (size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].edge, b[i].edge) << label << " edge " << e;
+          EXPECT_EQ(a[i].weight, b[i].weight) << label << " edge " << e;
+        }
+      }
+      for (uint64_t k = 0; k < serial.num_wedges(); ++k) {
+        const auto [si, sn] = serial.WedgeAt(k);
+        const auto [pi, pn] = parallel.WedgeAt(k);
+        EXPECT_EQ(si, pi) << label << " wedge " << k;
+        EXPECT_EQ(sn.edge, pn.edge) << label << " wedge " << k;
+        EXPECT_EQ(sn.weight, pn.weight) << label << " wedge " << k;
+      }
     }
+  }
+}
+
+TEST(ProjectionTest, WeightMatchesIntersectionSizeForAllPairs) {
+  for (const Hypergraph& g : {SkewedGraph(), DuplicateEdgeGraph(),
+                              testing::RandomHypergraph(40, 50, 1, 4, 9)}) {
+    const ProjectedGraph p = ProjectedGraph::Build(g, 2).value();
+    uint64_t non_adjacent = 0;
+    for (EdgeId a = 0; a < g.num_edges(); ++a) {
+      EXPECT_EQ(p.Weight(a, a), 0u) << "self " << a;
+      for (EdgeId b = 0; b < g.num_edges(); ++b) {
+        if (a == b) continue;
+        const uint32_t want = static_cast<uint32_t>(g.IntersectionSize(a, b));
+        EXPECT_EQ(p.Weight(a, b), want) << a << "," << b;
+        if (want == 0) ++non_adjacent;
+      }
+    }
+    EXPECT_GT(non_adjacent, 0u) << "corpus must include non-adjacent pairs";
   }
 }
 
