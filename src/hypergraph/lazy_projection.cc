@@ -28,20 +28,6 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
   return "unknown";
 }
 
-Status ValidateLazyProjectionOptions(const LazyProjectionOptions& options) {
-  if (options.require_memoization &&
-      options.memory_budget_bytes < LazyEntryBytes(0)) {
-    return Status::InvalidArgument(
-        "lazy projection misconfigured: require_memoization is set but "
-        "memory_budget_bytes (" +
-        std::to_string(options.memory_budget_bytes) +
-        ") cannot hold even an empty entry (" +
-        std::to_string(LazyEntryBytes(0)) +
-        " bytes); raise the budget or clear require_memoization");
-  }
-  return Status::OK();
-}
-
 double LazyProjection::Stats::HitRate() const {
   const uint64_t accesses = memo_hits + computations;
   return accesses == 0 ? 0.0
@@ -49,40 +35,25 @@ double LazyProjection::Stats::HitRate() const {
                              static_cast<double>(accesses);
 }
 
-Result<LazyProjection> LazyProjection::Create(
-    const Hypergraph& graph, const LazyProjectionOptions& options,
-    const ProjectedDegrees* degrees) {
-  if (Status s = ValidateLazyProjectionOptions(options); !s.ok()) return s;
-  if (degrees != nullptr && degrees->degree.size() != graph.num_edges()) {
-    return Status::InvalidArgument(
-        "wedge index does not match the hypergraph (degrees for " +
-        std::to_string(degrees->degree.size()) + " edges, graph has " +
-        std::to_string(graph.num_edges()) + ")");
-  }
-  return LazyProjection(graph, options, degrees);
-}
-
 LazyProjection::LazyProjection(const Hypergraph& graph,
+                               const ProjectedDegrees& degrees,
                                const LazyProjectionOptions& options,
-                               const ProjectedDegrees* degrees)
+                               uint64_t seed, SpillLog* spill)
     : graph_(&graph),
-      degrees_(degrees),
+      degrees_(&degrees),
       options_(options),
-      rng_(options.seed),
-      builder_(std::make_unique<NeighborhoodBuilder>(graph.num_edges())) {}
+      rng_(seed),
+      spill_(spill) {}
 
 uint64_t LazyProjection::RankOf(EdgeId e, size_t num_neighbors) const {
   switch (options_.policy) {
     case EvictionPolicy::kWedgeAdmission: {
       // Expected reuse × recompute cost. The reuse proxy is the projected
       // degree |N_e| — under uniform hyperwedge sampling, a sample reads
-      // N_e with probability |N_e|/|∧| — taken from the wedge index when
-      // available (identical to the computed neighborhood size).
-      const uint64_t reuse = degrees_ != nullptr
-                                 ? degrees_->degree[e]
-                                 : static_cast<uint64_t>(num_neighbors);
-      MOCHY_DCHECK(degrees_ == nullptr || degrees_->degree[e] == num_neighbors);
-      return reuse * NeighborhoodBuilder::SweepCost(*graph_, e);
+      // N_e with probability |N_e|/|∧| — taken from the wedge index.
+      MOCHY_DCHECK(degrees_->degree[e] == num_neighbors);
+      return uint64_t{degrees_->degree[e]} *
+             NeighborhoodBuilder::SweepCost(*graph_, e);
     }
     case EvictionPolicy::kDegreePriority:
       return num_neighbors;
@@ -91,24 +62,6 @@ uint64_t LazyProjection::RankOf(EdgeId e, size_t num_neighbors) const {
       return 0;
   }
   return 0;
-}
-
-const std::vector<Neighbor>& LazyProjection::Neighborhood(EdgeId e) {
-  auto it = memo_.find(e);
-  if (it != memo_.end()) {
-    ++stats_.memo_hits;
-    if (options_.policy == EvictionPolicy::kLru) {
-      lru_order_.erase(it->second.lru_it);
-      lru_order_.push_front(e);
-      it->second.lru_it = lru_order_.begin();
-    }
-    return it->second.neighbors;
-  }
-  ++stats_.computations;
-  builder_->Compute(*graph_, e, &transient_);
-  Admit(e, transient_);
-  auto inserted = memo_.find(e);
-  return inserted != memo_.end() ? inserted->second.neighbors : transient_;
 }
 
 bool LazyProjection::TryGet(EdgeId e, std::vector<Neighbor>* out) {
@@ -125,8 +78,7 @@ bool LazyProjection::TryGet(EdgeId e, std::vector<Neighbor>* out) {
 
 void LazyProjection::MaybeSpill(EdgeId e,
                                 std::span<const Neighbor> neighbors) {
-  if (!spill_hook_) return;
-  if (spill_hook_(e, neighbors)) {
+  if (spill_ != nullptr && spill_->Append(e, neighbors)) {
     ++stats_.spills;
     stats_.spill_bytes += neighbors.size() * sizeof(Neighbor);
   }
@@ -242,7 +194,6 @@ ConcurrentLazyProjection::Create(const Hypergraph& graph,
                                  const ProjectedDegrees& degrees,
                                  const LazyProjectionOptions& options,
                                  size_t num_shards) {
-  if (Status s = ValidateLazyProjectionOptions(options); !s.ok()) return s;
   if (degrees.degree.size() != graph.num_edges()) {
     return Status::InvalidArgument(
         "wedge index does not match the hypergraph (degrees for " +
@@ -259,19 +210,8 @@ ConcurrentLazyProjection::Create(const Hypergraph& graph,
       num_shards = static_cast<size_t>(
           std::min<uint64_t>(num_shards, slices));
     }
-  } else if (options.require_memoization &&
-             options.memory_budget_bytes / num_shards < LazyEntryBytes(0)) {
-    // An explicit shard count must not dilute a required-memoization
-    // budget into useless slices.
-    return Status::InvalidArgument(
-        "lazy projection misconfigured: memory_budget_bytes split over " +
-        std::to_string(num_shards) + " shards leaves " +
-        std::to_string(options.memory_budget_bytes / num_shards) +
-        " bytes per shard, below one entry (" +
-        std::to_string(LazyEntryBytes(0)) + " bytes)");
   }
-  std::unique_ptr<ConcurrentLazyProjection> projection(
-      new ConcurrentLazyProjection(graph, degrees, options, num_shards));
+  std::vector<std::unique_ptr<SpillLog>> logs(num_shards);
   if (!options.spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options.spill_dir, ec);
@@ -283,36 +223,32 @@ ConcurrentLazyProjection::Create(const Hypergraph& graph,
     // one process (e.g. BatchRunner items).
     static std::atomic<uint64_t> instance_counter{0};
     const uint64_t instance = instance_counter.fetch_add(1);
-    for (size_t s = 0; s < projection->shards_.size(); ++s) {
+    for (size_t s = 0; s < num_shards; ++s) {
       const std::string path = options.spill_dir + "/mochy_spill_" +
                                std::to_string(::getpid()) + "_" +
                                std::to_string(instance) + "_shard" +
                                std::to_string(s) + ".spill";
-      MOCHY_ASSIGN_OR_RETURN(projection->shards_[s]->spill,
-                             SpillLog::Create(path));
-      Shard* shard = projection->shards_[s].get();
-      shard->lazy.set_spill_hook(
-          [shard](EdgeId e, std::span<const Neighbor> neighbors) {
-            return shard->spill->Append(e, neighbors);
-          });
+      MOCHY_ASSIGN_OR_RETURN(logs[s], SpillLog::Create(path));
     }
   }
-  return projection;
+  return std::unique_ptr<ConcurrentLazyProjection>(
+      new ConcurrentLazyProjection(graph, degrees, options, std::move(logs)));
 }
 
 ConcurrentLazyProjection::ConcurrentLazyProjection(
     const Hypergraph& graph, const ProjectedDegrees& degrees,
-    const LazyProjectionOptions& options, size_t num_shards)
+    const LazyProjectionOptions& options,
+    std::vector<std::unique_ptr<SpillLog>> logs)
     : graph_(&graph) {
   LazyProjectionOptions shard_options = options;
   // Split the budget across shards; each shard enforces its slice
   // independently, so the sum never exceeds the configured budget.
-  shard_options.memory_budget_bytes = options.memory_budget_bytes / num_shards;
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shard_options.seed = options.seed + s;
-    shards_.push_back(std::make_unique<Shard>(
-        LazyProjection(graph, shard_options, &degrees)));
+  shard_options.memory_budget_bytes = options.memory_budget_bytes / logs.size();
+  shards_.reserve(logs.size());
+  for (size_t s = 0; s < logs.size(); ++s) {
+    // kRandom draws its victims from a per-shard stream seeded 7 + shard.
+    shards_.push_back(std::make_unique<Shard>(graph, degrees, shard_options,
+                                              7 + s, std::move(logs[s])));
   }
 }
 

@@ -9,17 +9,17 @@
 /// over the edge's incidence lists, exactly the `ProjectedGraph::Build`
 /// inner step — and memoizes the hottest ones within a byte budget.
 /// Whether a neighborhood is served from the memo or recomputed it is
-/// always exact, so any sampler running on a LazyProjection returns
+/// always exact, so any sampler running on the lazy projection returns
 /// **bit-identical estimates** to the same sampler on a materialized
 /// projection (same seed, same sample count). Only the run *statistics*
 /// (hits, recomputes, bytes) depend on the memo state.
 ///
-/// Two front ends share the machinery:
-///  - LazyProjection — single-threaded, returns references into the memo;
-///    the Figure-11 ablation surface (eviction policies).
-///  - ConcurrentLazyProjection — a sharded memo table for parallel
-///    samplers; workers copy neighborhoods out under a per-shard lock and
-///    keep per-thread statistics, so they never serialize on one mutex.
+/// The surface is ConcurrentLazyProjection: a sharded memo table for
+/// parallel samplers. Each shard is one LazyProjection memo behind its
+/// own lock; workers copy neighborhoods out under that lock and keep
+/// per-thread statistics, so they never serialize on one mutex. The
+/// Figure-11 eviction ablation runs it with one shard at one thread,
+/// where the statistics are deterministic.
 ///
 /// The full memory contract — what each projection policy materializes,
 /// the admission rule, byte accounting, determinism caveats — is
@@ -28,7 +28,6 @@
 #define MOCHY_HYPERGRAPH_LAZY_PROJECTION_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -81,34 +80,20 @@ struct LazyProjectionOptions {
   /// Maximum bytes of memoized neighborhoods, counted per EntryBytes()
   /// (payload + fixed bookkeeping overhead). 0 disables memoization
   /// entirely — every access recomputes — which is a legal low-memory
-  /// mode unless `require_memoization` is set. The default is the
-  /// explicit, documented kDefaultLazyMemoBudgetBytes, NOT unbounded.
+  /// mode. The default is the explicit, documented
+  /// kDefaultLazyMemoBudgetBytes, NOT unbounded.
   uint64_t memory_budget_bytes = kDefaultLazyMemoBudgetBytes;
   /// Admission/eviction rule for the memo (see EvictionPolicy).
   EvictionPolicy policy = EvictionPolicy::kWedgeAdmission;
-  /// Seed for the kRandom policy.
-  uint64_t seed = 7;
-  /// When true, a configuration whose budget cannot memoize anything —
-  /// fewer bytes than one empty entry (LazyEntryBytes(0)), including a
-  /// budget diluted to that point by an explicit shard count — is
-  /// rejected with InvalidArgument by ValidateLazyProjectionOptions() /
-  /// the Create() factories instead of silently degrading to
-  /// recompute-everything. Set it when memoization is load-bearing for
-  /// the caller's performance expectations.
-  bool require_memoization = false;
   /// When non-empty, enables the disk tier: neighborhoods that the byte
   /// budget evicts (or declines to admit) are appended to per-shard
   /// spill logs under this directory (see hypergraph/spill_log.h and
   /// docs/STORAGE.md) and re-admitted from disk on the next touch
   /// instead of recomputed. The logs are per-engine-lifetime scratch —
   /// created truncated, unlinked on shutdown. Empty (the default)
-  /// disables spilling entirely; honored by ConcurrentLazyProjection.
+  /// disables spilling entirely.
   std::string spill_dir;
 };
-
-/// Rejects misconfigurations: `require_memoization` with a budget below
-/// one memo entry. Returns OK otherwise.
-Status ValidateLazyProjectionOptions(const LazyProjectionOptions& options);
 
 /// Bytes one memoized neighborhood of `num_neighbors` entries is
 /// accounted as: payload plus a fixed per-entry bookkeeping charge
@@ -118,44 +103,25 @@ inline uint64_t LazyEntryBytes(size_t num_neighbors) {
   return num_neighbors * sizeof(Neighbor) + 64;
 }
 
-/// On-demand projected-graph neighborhoods with a budgeted memo.
-/// Single-threaded: Neighborhood() returns a reference that stays valid
-/// only until the next call. For parallel samplers use
-/// ConcurrentLazyProjection below.
+/// One shard's budgeted memo of exact neighborhoods. It never computes:
+/// ConcurrentLazyProjection looks entries up (TryGet), computes misses
+/// outside the shard lock and offers them back (Admit). Not thread-safe;
+/// the owning shard's lock guards every call.
 class LazyProjection {
  public:
-  /// Validating factory. `degrees`, when provided, is the wedge index of
-  /// `graph` (ComputeProjectedDegrees): kWedgeAdmission then scores
-  /// entries by the indexed degree; without it the computed neighborhood
-  /// size (an identical value, known post-compute) is used. Both
-  /// referents must outlive the projection.
-  static Result<LazyProjection> Create(const Hypergraph& graph,
-                                       const LazyProjectionOptions& options,
-                                       const ProjectedDegrees* degrees =
-                                           nullptr);
-
-  /// Unvalidated construction, kept for tests and the Figure-11 ablation;
-  /// prefer Create().
-  LazyProjection(const Hypergraph& graph, const LazyProjectionOptions& options,
-                 const ProjectedDegrees* degrees = nullptr);
-
-  /// Movable (the memo may be large; copying is deliberately disabled).
-  LazyProjection(LazyProjection&&) = default;
-  /// Move-assignable.
-  LazyProjection& operator=(LazyProjection&&) = default;
-
-  /// The exact weighted neighborhood of `e`, sorted by edge id. The
-  /// reference stays valid until the next Neighborhood() call (it may
-  /// point into transient scratch when the entry is not memoized).
-  const std::vector<Neighbor>& Neighborhood(EdgeId e);
+  /// A memo of at most `options.memory_budget_bytes` over `graph`.
+  /// `degrees` is the wedge index of `graph` (ComputeProjectedDegrees),
+  /// which kWedgeAdmission scores entries by; `seed` drives kRandom.
+  /// Entries the budget pushes out are appended to `spill` when it is
+  /// non-null. All referents must outlive the memo.
+  LazyProjection(const Hypergraph& graph, const ProjectedDegrees& degrees,
+                 const LazyProjectionOptions& options, uint64_t seed,
+                 SpillLog* spill);
 
   /// Memo lookup only — no compute. On a hit copies the neighborhood into
   /// `*out`, updates LRU recency, and returns true. Hit/miss accounting
-  /// is the caller's job (exactly one accounting path exists per front
-  /// end: Neighborhood() counts internally, ConcurrentLazyProjection
-  /// counts in the caller's per-worker Stats). Building block for
-  /// ConcurrentLazyProjection, which computes misses outside the shard
-  /// lock.
+  /// is the caller's job: ConcurrentLazyProjection counts in the
+  /// caller's per-worker Stats.
   bool TryGet(EdgeId e, std::vector<Neighbor>* out);
 
   /// Offers a freshly computed neighborhood of `e` to the memo; the
@@ -172,7 +138,7 @@ class LazyProjection {
     uint64_t bytes_used = 0;    ///< current memo footprint
     uint64_t peak_bytes = 0;    ///< high-water memo footprint
     // Disk-tier counters (0 unless a spill_dir is configured). The first
-    // two are memo-side (counted where the spill hook fires); the last
+    // two are memo-side (counted where the memo spills); the last
     // two are caller-side like memo_hits, accumulated per worker by
     // ConcurrentLazyProjection::Neighborhood.
     uint64_t spills = 0;           ///< neighborhoods appended to spill logs
@@ -184,18 +150,9 @@ class LazyProjection {
     /// accessed.
     double HitRate() const;
   };
-  /// Current statistics; hits/computations only count Neighborhood() and
-  /// TryGet() traffic on this instance.
+  /// Memo-side statistics: evictions, bytes, spills. Hits and
+  /// computations stay 0 here; the callers count them.
   const Stats& stats() const { return stats_; }
-
-  /// Called with the exact neighborhood whenever the budget pushes an
-  /// entry out of RAM: on eviction, and on every Admit() the policy
-  /// declines (never-fits, newcomer-outranked, or budget 0). Returns
-  /// true when a new spill record was appended; the projection then
-  /// counts it in stats(). Installed by ConcurrentLazyProjection when a
-  /// spill_dir is configured; runs under the caller's shard lock.
-  using SpillHook = std::function<bool(EdgeId, std::span<const Neighbor>)>;
-  void set_spill_hook(SpillHook hook) { spill_hook_ = std::move(hook); }
 
  private:
   struct Entry {
@@ -212,9 +169,11 @@ class LazyProjection {
   /// degree. Higher ranks are kept longer.
   uint64_t RankOf(EdgeId e, size_t num_neighbors) const;
   void Evict(EdgeId victim);
+  /// Appends `e` to the spill log (if any) and accounts it in stats_.
+  void MaybeSpill(EdgeId e, std::span<const Neighbor> neighbors);
 
   const Hypergraph* graph_;
-  const ProjectedDegrees* degrees_;  // nullable wedge index
+  const ProjectedDegrees* degrees_;
   LazyProjectionOptions options_;
   Rng rng_;
 
@@ -223,14 +182,9 @@ class LazyProjection {
   std::list<EdgeId> lru_order_;                 // front = most recent
   std::vector<EdgeId> random_pool_;
 
-  std::unique_ptr<NeighborhoodBuilder> builder_;
-  std::vector<Neighbor> transient_;
-  SpillHook spill_hook_;  // null unless the disk tier is attached
+  SpillLog* spill_;  // null unless the disk tier is attached
 
   Stats stats_;
-
-  /// Fires the spill hook (if any) and accounts the spill in stats_.
-  void MaybeSpill(EdgeId e, std::span<const Neighbor> neighbors);
 };
 
 /// Thread-safe lazy projection for parallel samplers: the memo is split
@@ -276,22 +230,29 @@ class ConcurrentLazyProjection {
   /// Number of memo shards.
   size_t num_shards() const { return shards_.size(); }
 
+  /// The hypergraph whose neighborhoods this memo serves.
+  const Hypergraph& graph() const { return *graph_; }
+
  private:
   struct Shard {
     mutable std::mutex mu;
-    LazyProjection lazy;
     // Disk tier: null unless options.spill_dir is set. The index
     // (Append/Lookup/Invalidate) is guarded by `mu`; ReadRecord preads
     // immutable extents outside the lock, mirroring how misses compute
     // outside the lock.
     std::unique_ptr<SpillLog> spill;
-    explicit Shard(LazyProjection projection) : lazy(std::move(projection)) {}
+    LazyProjection lazy;  // spills into `spill`, hence declared after it
+    Shard(const Hypergraph& graph, const ProjectedDegrees& degrees,
+          const LazyProjectionOptions& options, uint64_t seed,
+          std::unique_ptr<SpillLog> log)
+        : spill(std::move(log)),
+          lazy(graph, degrees, options, seed, spill.get()) {}
   };
 
   ConcurrentLazyProjection(const Hypergraph& graph,
                            const ProjectedDegrees& degrees,
                            const LazyProjectionOptions& options,
-                           size_t num_shards);
+                           std::vector<std::unique_ptr<SpillLog>> logs);
 
   const Hypergraph* graph_;
   std::vector<std::unique_ptr<Shard>> shards_;

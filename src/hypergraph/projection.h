@@ -128,14 +128,14 @@ class ProjectedGraph {
 
 /// Computes only the projected-graph degree |N_e| of every hyperedge plus
 /// |∧|, without materializing adjacency. Memory O(|E|); used for Table 2
-/// statistics and by the on-the-fly variants. num_threads 0 means
-/// DefaultThreadCount().
+/// statistics and by the lazy projection (admission scores, wedge
+/// sampling). num_threads 0 means DefaultThreadCount().
 struct ProjectedDegrees {
   std::vector<uint32_t> degree;  ///< |N_e| per hyperedge
   uint64_t num_wedges = 0;       ///< |∧|
   /// wedge_prefix[e+1] - wedge_prefix[e] = #neighbors of e with id > e;
   /// prefix sums index the wedge set for uniform sampling without the
-  /// materialized projection (on-the-fly MoCHy-A+).
+  /// materialized projection (lazy MoCHy-A+).
   std::vector<uint64_t> wedge_prefix;
 
   /// Heap footprint in bytes of the wedge index itself.

@@ -40,7 +40,8 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
 /// the materialized projection of the same graph, for the same seed,
 /// sample count, and any thread count. `stats_out`, when set, receives
 /// the per-worker hit/recompute counters merged with the memo-side
-/// byte/eviction counters.
+/// byte/eviction counters. Errors when `lazy` was built over another
+/// hypergraph.
 Result<MotifCounts> CountMotifsEdgeSampleLazy(
     const Hypergraph& graph, ConcurrentLazyProjection& lazy,
     const MochyAOptions& options,

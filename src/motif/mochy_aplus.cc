@@ -1,11 +1,10 @@
 #include "motif/mochy_aplus.h"
 
 #include <algorithm>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/rng.h"
 #include "common/scratch_arena.h"
 #include "motif/stamp_kernels.h"
 
@@ -68,6 +67,7 @@ void ProcessWedge(const Hypergraph& graph, EdgeId ei, EdgeId ej,
 /// Applies the Theorem-4 rescaling: raw counts -> unbiased estimates.
 void RescaleWedgeEstimates(uint64_t num_wedges, uint64_t num_samples,
                            MotifCounts* counts) {
+  if (num_samples == 0) return;
   const double wedges = static_cast<double>(num_wedges);
   const double r = static_cast<double>(num_samples);
   for (int id = 1; id <= kNumHMotifs; ++id) {
@@ -75,49 +75,6 @@ void RescaleWedgeEstimates(uint64_t num_wedges, uint64_t num_samples,
     (*counts)[id] *= wedges / (wedges_per_instance * r);
   }
 }
-
-}  // namespace
-
-MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
-                                   const ProjectedGraph& projection,
-                                   const MochyAPlusOptions& options) {
-  MOCHY_CHECK(projection.num_edges() == graph.num_edges());
-  const size_t m = graph.num_edges();
-  MotifCounts total;
-  const uint64_t wedges = projection.num_wedges();
-  if (m == 0 || wedges == 0 || options.num_samples == 0) return total;
-
-  size_t num_threads =
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
-  if (num_threads > options.num_samples) {
-    num_threads = static_cast<size_t>(options.num_samples);
-  }
-  const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  std::vector<MotifCounts> partial(num_threads);
-  const Rng base(options.seed);
-
-  auto worker = [&](size_t thread) {
-    ScratchArena& arena = LocalScratchArena();
-    arena.EnsureEdges(m);
-    arena.EnsureNodes(graph.num_nodes());
-    for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
-      Rng rng = base.Fork(n);
-      const uint64_t k = rng.UniformInt(wedges);
-      const auto [ei, picked] = projection.WedgeAt(k);
-      MOCHY_DCHECK(picked.weight > 0);
-      ProcessWedge(graph, ei, picked.edge, picked.weight,
-                   projection.neighbors(ei), projection.neighbors(picked.edge),
-                   size_of.data(), arena, partial[thread]);
-    }
-  };
-  ParallelWorkers(num_threads, worker);
-
-  for (const MotifCounts& part : partial) total += part;
-  RescaleWedgeEstimates(wedges, options.num_samples, &total);
-  return total;
-}
-
-namespace {
 
 /// Maps the uniform wedge index `k` to its wedge (e_i within-suffix rank):
 /// binary search of the wedge prefix sums. The `within`-th neighbor of
@@ -155,94 +112,43 @@ Status CheckWedgeIndex(const Hypergraph& graph,
 
 }  // namespace
 
+MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
+                                   const ProjectedGraph& projection,
+                                   const MochyAPlusOptions& options) {
+  MOCHY_CHECK(projection.num_edges() == graph.num_edges());
+  const uint64_t wedges = projection.num_wedges();
+  MotifCounts total = internal::SampleUniformly(
+      graph, wedges, options,
+      [&](size_t) { return internal::ProjectedNeighborhoods(projection); },
+      [&](uint64_t k, internal::ProjectedNeighborhoods& source,
+          const uint32_t* size_of, ScratchArena& arena, MotifCounts& raw) {
+        const auto [ei, picked] = projection.WedgeAt(k);
+        MOCHY_DCHECK(picked.weight > 0);
+        ProcessWedge(graph, ei, picked.edge, picked.weight, source.Outer(ei),
+                     source.Inner(picked.edge), size_of, arena, raw);
+      });
+  RescaleWedgeEstimates(wedges, options.num_samples, &total);
+  return total;
+}
+
 Result<MotifCounts> CountMotifsWedgeSampleLazy(
     const Hypergraph& graph, const ProjectedDegrees& degrees,
     ConcurrentLazyProjection& lazy, const MochyAPlusOptions& options,
     LazyProjection::Stats* stats_out) {
   if (Status s = CheckWedgeIndex(graph, degrees); !s.ok()) return s;
-  const size_t m = graph.num_edges();
-  MotifCounts total;
   const uint64_t wedges = degrees.num_wedges;
-  if (stats_out != nullptr) *stats_out = lazy.shared_stats();
-  if (m == 0 || wedges == 0 || options.num_samples == 0) return total;
-
-  size_t num_threads =
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
-  if (num_threads > options.num_samples) {
-    num_threads = static_cast<size_t>(options.num_samples);
-  }
-  const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  std::vector<MotifCounts> partial(num_threads);
-  std::vector<LazyProjection::Stats> local_stats(num_threads);
-  const Rng base(options.seed);
-
-  auto worker = [&](size_t thread) {
-    ScratchArena& arena = LocalScratchArena();
-    arena.EnsureEdges(m);
-    arena.EnsureNodes(graph.num_nodes());
-    NeighborhoodBuilder builder(m);
-    // Copies: memo references cannot cross the shard lock, and another
-    // worker's eviction could invalidate them anyway.
-    std::vector<Neighbor> nbrs_i, nbrs_j;
-    for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
-      Rng rng = base.Fork(n);
-      const uint64_t k = rng.UniformInt(wedges);
-      const auto [ei, within] = PickWedgeSource(degrees, k);
-      lazy.Neighborhood(ei, builder, &nbrs_i, &local_stats[thread]);
-      const Neighbor picked = PickWedgeTarget(nbrs_i, ei, within);
-      lazy.Neighborhood(picked.edge, builder, &nbrs_j, &local_stats[thread]);
-      ProcessWedge(graph, ei, picked.edge, picked.weight,
-                   std::span<const Neighbor>(nbrs_i.data(), nbrs_i.size()),
-                   std::span<const Neighbor>(nbrs_j.data(), nbrs_j.size()),
-                   size_of.data(), arena, partial[thread]);
-    }
-  };
-  ParallelWorkers(num_threads, worker);
-
-  for (const MotifCounts& part : partial) total += part;
-  RescaleWedgeEstimates(wedges, options.num_samples, &total);
-  if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);
-  return total;
-}
-
-Result<MotifCounts> CountMotifsWedgeSampleOnTheFly(
-    const Hypergraph& graph, const ProjectedDegrees& degrees,
-    const MochyAPlusOptions& options,
-    const LazyProjectionOptions& lazy_options,
-    LazyProjection::Stats* stats_out) {
-  if (Status s = CheckWedgeIndex(graph, degrees); !s.ok()) return s;
-  auto lazy = LazyProjection::Create(graph, lazy_options, &degrees);
-  if (!lazy.ok()) return lazy.status();
-  const size_t m = graph.num_edges();
-  MotifCounts total;
-  const uint64_t wedges = degrees.num_wedges;
-  if (stats_out != nullptr) *stats_out = lazy.value().stats();
-  if (m == 0 || wedges == 0 || options.num_samples == 0) return total;
-
-  const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  ScratchArena& arena = LocalScratchArena();
-  arena.EnsureEdges(m);
-  arena.EnsureNodes(graph.num_nodes());
-  std::vector<Neighbor> nbrs_i;  // copy: the lazy reference is transient
-  const Rng base(options.seed);
-  for (uint64_t n = 0; n < options.num_samples; ++n) {
-    Rng rng = base.Fork(n);
-    const uint64_t k = rng.UniformInt(wedges);
-    const auto [ei, within] = PickWedgeSource(degrees, k);
-    {
-      const std::vector<Neighbor>& ref = lazy.value().Neighborhood(ei);
-      nbrs_i.assign(ref.begin(), ref.end());
-    }
-    const Neighbor picked = PickWedgeTarget(nbrs_i, ei, within);
-    const std::vector<Neighbor>& nbrs_j =
-        lazy.value().Neighborhood(picked.edge);
-    ProcessWedge(graph, ei, picked.edge, picked.weight,
-                 std::span<const Neighbor>(nbrs_i.data(), nbrs_i.size()),
-                 std::span<const Neighbor>(nbrs_j.data(), nbrs_j.size()),
-                 size_of.data(), arena, total);
-  }
-  RescaleWedgeEstimates(wedges, options.num_samples, &total);
-  if (stats_out != nullptr) *stats_out = lazy.value().stats();
+  auto total = internal::SampleLazy(
+      graph, lazy, wedges, options, stats_out,
+      [&](uint64_t k, internal::LazyNeighborhoods& source,
+          const uint32_t* size_of, ScratchArena& arena, MotifCounts& raw) {
+        const auto [ei, within] = PickWedgeSource(degrees, k);
+        const std::span<const Neighbor> nbrs_i = source.Outer(ei);
+        const Neighbor picked = PickWedgeTarget(nbrs_i, ei, within);
+        ProcessWedge(graph, ei, picked.edge, picked.weight, nbrs_i,
+                     source.Inner(picked.edge), size_of, arena, raw);
+      });
+  if (!total.ok()) return total.status();
+  RescaleWedgeEstimates(wedges, options.num_samples, &total.value());
   return total;
 }
 

@@ -13,6 +13,10 @@
 //    instance that contains e_i (Algorithm 4). MoCHy-A, materialized and
 //    lazy, and the streaming add/remove delta are sinks over it.
 //
+// The samplers, MoCHy-A (Algorithm 4) and MoCHy-A+ (Algorithm 5), share
+// one sampling loop, SampleUniformly, over either neighborhood source:
+// the materialized projection or the sharded lazy memo (SampleLazy).
+//
 // Both loops rest on three dense-scratch tricks:
 //
 //  - hoisted edge sizes: |e| for all hyperedges in one contiguous
@@ -37,9 +41,13 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/scratch_arena.h"
+#include "common/status.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/lazy_projection.h"
 #include "hypergraph/projection.h"
+#include "motif/counts.h"
 #include "motif/pattern.h"
 
 namespace mochy::internal {
@@ -65,6 +73,116 @@ inline std::vector<uint32_t> HoistEdgeSizes(const Hypergraph& graph) {
     sizes[e] = static_cast<uint32_t>(graph.edge_size(static_cast<EdgeId>(e)));
   }
   return sizes;
+}
+
+/// Workers for a sampling run: `requested` (0 = DefaultThreadCount()),
+/// but never more than there are samples.
+inline size_t SamplingThreads(size_t requested, uint64_t num_samples) {
+  const size_t threads = requested == 0 ? DefaultThreadCount() : requested;
+  return static_cast<size_t>(std::min<uint64_t>(threads, num_samples));
+}
+
+/// Neighborhood source over a materialized projection: spans into it.
+/// Outer(e) is the sample's own N(e_i), valid for the whole sample;
+/// Inner(e) a further N(e_j), valid until the next Inner call.
+class ProjectedNeighborhoods {
+ public:
+  explicit ProjectedNeighborhoods(const ProjectedGraph& projection)
+      : projection_(&projection) {}
+  std::span<const Neighbor> Outer(EdgeId e) const {
+    return projection_->neighbors(e);
+  }
+  std::span<const Neighbor> Inner(EdgeId e) const {
+    return projection_->neighbors(e);
+  }
+
+ private:
+  const ProjectedGraph* projection_;
+};
+
+/// Neighborhood source over the sharded lazy memo, one per worker: a
+/// NeighborhoodBuilder for misses, the worker's own Stats, and two copy
+/// buffers, since memo entries cannot cross the shard lock. Outer and
+/// Inner keep ProjectedNeighborhoods' lifetimes.
+class LazyNeighborhoods {
+ public:
+  LazyNeighborhoods(ConcurrentLazyProjection& lazy,
+                    LazyProjection::Stats* stats)
+      : lazy_(&lazy), builder_(lazy.graph().num_edges()), stats_(stats) {}
+  std::span<const Neighbor> Outer(EdgeId e) { return Fetch(e, &outer_); }
+  std::span<const Neighbor> Inner(EdgeId e) { return Fetch(e, &inner_); }
+
+ private:
+  std::span<const Neighbor> Fetch(EdgeId e, std::vector<Neighbor>* out) {
+    lazy_->Neighborhood(e, builder_, out, stats_);
+    return *out;
+  }
+
+  ConcurrentLazyProjection* lazy_;
+  NeighborhoodBuilder builder_;
+  LazyProjection::Stats* stats_;
+  std::vector<Neighbor> outer_, inner_;
+};
+
+/// The sampling loop of MoCHy-A and MoCHy-A+: draws `options.num_samples`
+/// indices uniformly with replacement from [0, population) and calls
+/// sample(k, source, size_of, arena, raw) for each, where `source` is
+/// the worker's make_source(thread), `size_of` is HoistEdgeSizes and
+/// `raw` the worker's partial counts. Sample n runs on worker
+/// n mod threads with the RNG forked from (seed, n), and the partials
+/// are summed in worker order, so the raw counts are bit-identical for
+/// any thread count. `Options` is MochyAOptions or MochyAPlusOptions.
+template <typename Options, typename MakeSource, typename Sample>
+MotifCounts SampleUniformly(const Hypergraph& graph, uint64_t population,
+                            const Options& options, MakeSource make_source,
+                            Sample sample) {
+  MotifCounts total;
+  if (population == 0 || options.num_samples == 0) return total;
+  const size_t num_threads =
+      SamplingThreads(options.num_threads, options.num_samples);
+  const std::vector<uint32_t> size_of = HoistEdgeSizes(graph);
+  std::vector<MotifCounts> partial(num_threads);
+  const Rng base(options.seed);
+  ParallelWorkers(num_threads, [&](size_t thread) {
+    ScratchArena& arena = LocalScratchArena();
+    arena.EnsureEdges(graph.num_edges());
+    arena.EnsureNodes(graph.num_nodes());
+    auto source = make_source(thread);
+    for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
+      Rng rng = base.Fork(n);
+      sample(rng.UniformInt(population), source, size_of.data(), arena,
+             partial[thread]);
+    }
+  });
+  for (const MotifCounts& part : partial) total += part;
+  return total;
+}
+
+/// SampleUniformly over the sharded lazy memo, one LazyNeighborhoods per
+/// worker. `stats_out`, when set, receives the workers' counters merged
+/// with the memo's (MergeLazyRunStats). InvalidArgument when `lazy` was
+/// built over another hypergraph: its edge ids would overrun the
+/// scratch sized for `graph`.
+template <typename Options, typename Sample>
+Result<MotifCounts> SampleLazy(const Hypergraph& graph,
+                               ConcurrentLazyProjection& lazy,
+                               uint64_t population, const Options& options,
+                               LazyProjection::Stats* stats_out,
+                               Sample sample) {
+  if (&lazy.graph() != &graph) {
+    return Status::InvalidArgument(
+        "lazy projection was built over another hypergraph");
+  }
+  std::vector<LazyProjection::Stats> local_stats(
+      SamplingThreads(options.num_threads, options.num_samples));
+  const MotifCounts raw = SampleUniformly(
+      graph, population, options,
+      [&](size_t thread) {
+        return LazyNeighborhoods(lazy, &local_stats[thread]);
+      },
+      sample);
+  if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);
+  return raw;
 }
 
 /// Scatters e_i's members into arena.node_hub (fresh epoch). `Graph` is

@@ -1,5 +1,6 @@
-// Memory-bounded counting: LazyProjection / ConcurrentLazyProjection
-// semantics, and the engine-level ProjectionPolicy contract — sampled
+// Memory-bounded counting: the sharded lazy memo's semantics (the
+// policy tests drive one shard from one thread, where the statistics are
+// deterministic), and the engine-level ProjectionPolicy contract — sampled
 // estimates are bit-identical across kMaterialized / kLazy / kAuto for
 // every strategy and thread count, budgets are respected, admission
 // prefers high-wedge hubs, and the lazy statistics flow through
@@ -14,6 +15,7 @@
 #include "hypergraph/projection.h"
 #include "motif/batch.h"
 #include "motif/engine.h"
+#include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "tests/test_util.h"
 
@@ -29,6 +31,34 @@ void ExpectSameNeighborhood(const std::vector<Neighbor>& got,
   }
 }
 
+/// A one-shard ConcurrentLazyProjection driven from one thread, with the
+/// caller-side counters merged into stats() like a sampler run's.
+class OneShardMemo {
+ public:
+  OneShardMemo(const Hypergraph& g, const LazyProjectionOptions& options)
+      : degrees_(ComputeProjectedDegrees(g)),
+        builder_(g.num_edges()),
+        lazy_(ConcurrentLazyProjection::Create(g, degrees_, options,
+                                               /*num_shards=*/1)
+                  .value()) {}
+
+  const std::vector<Neighbor>& Neighborhood(EdgeId e) {
+    lazy_->Neighborhood(e, builder_, &out_, &local_);
+    return out_;
+  }
+
+  LazyProjection::Stats stats() const {
+    return MergeLazyRunStats(*lazy_, {&local_, 1});
+  }
+
+ private:
+  ProjectedDegrees degrees_;
+  NeighborhoodBuilder builder_;
+  std::unique_ptr<ConcurrentLazyProjection> lazy_;
+  std::vector<Neighbor> out_;
+  LazyProjection::Stats local_;
+};
+
 class LazyProjectionPolicySweep
     : public ::testing::TestWithParam<EvictionPolicy> {};
 
@@ -38,7 +68,7 @@ TEST_P(LazyProjectionPolicySweep, AlwaysReturnsExactNeighborhoods) {
   LazyProjectionOptions options;
   options.policy = GetParam();
   options.memory_budget_bytes = 2048;  // forces evictions
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   Rng rng(3);
   for (int access = 0; access < 500; ++access) {
     const EdgeId e = static_cast<EdgeId>(rng.UniformInt(g.num_edges()));
@@ -56,7 +86,7 @@ TEST(LazyProjectionTest, ZeroBudgetNeverMemoizes) {
   const Hypergraph g = testing::RandomHypergraph(20, 30, 1, 5, 1);
   LazyProjectionOptions options;
   options.memory_budget_bytes = 0;
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   for (int i = 0; i < 10; ++i) lazy.Neighborhood(0);
   EXPECT_EQ(lazy.stats().memo_hits, 0u);
   EXPECT_EQ(lazy.stats().computations, 10u);
@@ -70,49 +100,17 @@ TEST(LazyProjectionTest, DefaultBudgetIsExplicitNotUnbounded) {
   EXPECT_EQ(options.memory_budget_bytes, kDefaultLazyMemoBudgetBytes);
   EXPECT_GT(kDefaultLazyMemoBudgetBytes, 0u);
   const Hypergraph g = testing::RandomHypergraph(20, 30, 1, 5, 1);
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   lazy.Neighborhood(0);
   lazy.Neighborhood(0);
   EXPECT_EQ(lazy.stats().memo_hits, 1u);  // defaults do memoize
-}
-
-TEST(LazyProjectionTest, RequireMemoizationWithZeroBudgetIsRejected) {
-  const Hypergraph g = testing::RandomHypergraph(20, 30, 1, 5, 1);
-  LazyProjectionOptions options;
-  options.memory_budget_bytes = 0;
-  options.require_memoization = true;
-  EXPECT_FALSE(ValidateLazyProjectionOptions(options).ok());
-  EXPECT_FALSE(LazyProjection::Create(g, options).ok());
-  const ProjectedDegrees degrees = ComputeProjectedDegrees(g);
-  EXPECT_FALSE(ConcurrentLazyProjection::Create(g, degrees, options).ok());
-  MochyAPlusOptions sampling;
-  sampling.num_samples = 10;
-  auto fly = CountMotifsWedgeSampleOnTheFly(g, degrees, sampling, options);
-  ASSERT_FALSE(fly.ok());
-  EXPECT_EQ(fly.status().code(), StatusCode::kInvalidArgument);
-  // Budgets below one empty memo entry are equally useless.
-  options.memory_budget_bytes = LazyEntryBytes(0) - 1;
-  EXPECT_FALSE(ValidateLazyProjectionOptions(options).ok());
-  // An explicit shard count must not dilute a required budget to nothing.
-  options.memory_budget_bytes = 1000;
-  EXPECT_FALSE(
-      ConcurrentLazyProjection::Create(g, degrees, options, /*num_shards=*/64)
-          .ok());
-  EXPECT_TRUE(
-      ConcurrentLazyProjection::Create(g, degrees, options, /*num_shards=*/4)
-          .ok());
-  // A workable budget with the same flag is fine.
-  options.memory_budget_bytes = 1 << 20;
-  EXPECT_TRUE(ValidateLazyProjectionOptions(options).ok());
-  EXPECT_TRUE(
-      CountMotifsWedgeSampleOnTheFly(g, degrees, sampling, options).ok());
 }
 
 TEST(LazyProjectionTest, LargeBudgetComputesEachOnce) {
   const Hypergraph g = testing::RandomHypergraph(20, 30, 1, 5, 2);
   LazyProjectionOptions options;
   options.memory_budget_bytes = 64 << 20;
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   for (int round = 0; round < 3; ++round) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) lazy.Neighborhood(e);
   }
@@ -129,7 +127,7 @@ TEST(LazyProjectionTest, BudgetIsRespected) {
     LazyProjectionOptions options;
     options.policy = policy;
     options.memory_budget_bytes = 4096;
-    LazyProjection lazy(g, options);
+    OneShardMemo lazy(g, options);
     Rng rng(7);
     for (int access = 0; access < 300; ++access) {
       lazy.Neighborhood(static_cast<EdgeId>(rng.UniformInt(g.num_edges())));
@@ -145,7 +143,7 @@ TEST(LazyProjectionTest, LruKeepsHotEntry) {
   LazyProjectionOptions options;
   options.policy = EvictionPolicy::kLru;
   options.memory_budget_bytes = 3000;
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   // Touch edge 0 between every other access; it should stay cached, i.e.
   // at most one computation of edge 0's neighborhood beyond the first few.
   lazy.Neighborhood(0);
@@ -178,7 +176,7 @@ TEST(LazyProjectionTest, DegreePolicyPrefersHighDegree) {
   options.policy = EvictionPolicy::kDegreePriority;
   // Enough for the hub's 20-neighbor list but not for everything.
   options.memory_budget_bytes = 600;
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   lazy.Neighborhood(0);
   // Churn through the leaves.
   for (EdgeId e = 1; e <= 20; ++e) lazy.Neighborhood(e);
@@ -210,7 +208,7 @@ TEST(LazyProjectionTest, DeclinedNewcomerEvictsNothing) {
   options.policy = EvictionPolicy::kDegreePriority;
   // hub entry = 20*8+64 = 224, leaf = 2*8+64 = 80, mid = 10*8+64 = 144.
   options.memory_budget_bytes = 304;  // hub + one leaf, nothing to spare
-  LazyProjection lazy(g, options);
+  OneShardMemo lazy(g, options);
   lazy.Neighborhood(0);   // hub admitted (224)
   lazy.Neighborhood(1);   // leaf admitted (304 total)
   ASSERT_EQ(lazy.stats().bytes_used, 304u);
@@ -228,8 +226,7 @@ TEST(LazyProjectionTest, WedgeAdmissionPrefersHighWedgeHubs) {
   LazyProjectionOptions options;
   options.policy = EvictionPolicy::kWedgeAdmission;
   options.memory_budget_bytes = 600;
-  LazyProjection lazy =
-      LazyProjection::Create(g, options, &degrees).value();
+  OneShardMemo lazy(g, options);
   // Leaves first: they fill the memo as low-score residents.
   for (EdgeId e = 1; e <= 20; ++e) lazy.Neighborhood(e);
   // The hub's score (degree 20 × a 20-node sweep) outranks every leaf
@@ -276,6 +273,35 @@ TEST(ConcurrentLazyProjectionTest, ExactUnderConcurrencyAndBudget) {
   const LazyProjection::Stats shared = lazy->shared_stats();
   EXPECT_LE(shared.bytes_used, options.memory_budget_bytes);
   EXPECT_LE(shared.peak_bytes, options.memory_budget_bytes);
+}
+
+TEST(ConcurrentLazyProjectionTest, SamplersRejectAMemoOfAnotherGraph) {
+  // The memo's graph is the larger one: its edge ids would index past
+  // the scratch the samplers size for `small`.
+  const Hypergraph big = testing::RandomHypergraph(80, 200, 2, 7, 51);
+  const Hypergraph small = testing::RandomHypergraph(20, 30, 2, 5, 52);
+  const ProjectedDegrees big_degrees = ComputeProjectedDegrees(big);
+  const ProjectedDegrees small_degrees = ComputeProjectedDegrees(small);
+  auto memo = ConcurrentLazyProjection::Create(big, big_degrees,
+                                               LazyProjectionOptions{})
+                  .value();
+  MochyAOptions edge;
+  edge.num_samples = 50;
+  MochyAPlusOptions wedge;
+  wedge.num_samples = 50;
+
+  const auto edge_result = CountMotifsEdgeSampleLazy(small, *memo, edge);
+  ASSERT_FALSE(edge_result.ok());
+  EXPECT_EQ(edge_result.status().code(), StatusCode::kInvalidArgument);
+  const auto wedge_result =
+      CountMotifsWedgeSampleLazy(small, small_degrees, *memo, wedge);
+  ASSERT_FALSE(wedge_result.ok());
+  EXPECT_EQ(wedge_result.status().code(), StatusCode::kInvalidArgument);
+
+  // The memo's own graph is served.
+  EXPECT_TRUE(CountMotifsEdgeSampleLazy(big, *memo, edge).ok());
+  EXPECT_TRUE(
+      CountMotifsWedgeSampleLazy(big, big_degrees, *memo, wedge).ok());
 }
 
 // ---------------------------------------------------------------------

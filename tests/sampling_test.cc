@@ -1,6 +1,6 @@
 // Tests for MoCHy-A (hyperedge sampling) and MoCHy-A+ (hyperwedge
 // sampling): determinism, unbiasedness (Theorems 2 and 4), exhaustive-
-// sampling consistency, and agreement of the on-the-fly variant.
+// sampling consistency, and agreement of the on-the-fly (lazy memo) path.
 #include <gtest/gtest.h>
 
 #include "hypergraph/builder.h"
@@ -172,10 +172,23 @@ TEST_P(OnTheFlyEquivalence, MatchesEagerForAnyBudgetAndPolicy) {
   LazyProjectionOptions lazy;
   lazy.memory_budget_bytes = budget;
   lazy.policy = policy;
-  const MotifCounts fly =
-      CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options, lazy).value();
-  for (int t = 1; t <= kNumHMotifs; ++t) {
-    EXPECT_DOUBLE_EQ(eager[t], fly[t]) << "motif " << t;
+  // One shard (the Figure-11 ablation shape) and the default shard count,
+  // each driven by one and by four workers.
+  for (const size_t shards : {size_t{1}, size_t{0}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      auto memo =
+          ConcurrentLazyProjection::Create(f.graph, degrees, lazy, shards)
+              .value();
+      options.num_threads = threads;
+      const MotifCounts fly =
+          CountMotifsWedgeSampleLazy(f.graph, degrees, *memo, options)
+              .value();
+      for (int t = 1; t <= kNumHMotifs; ++t) {
+        EXPECT_DOUBLE_EQ(eager[t], fly[t])
+            << "motif " << t << " shards=" << shards
+            << " threads=" << threads;
+      }
+    }
   }
 }
 
@@ -194,19 +207,21 @@ TEST(OnTheFlyTest, MemoizationReducesComputations) {
   options.num_samples = 200;
   options.seed = 77;
 
-  LazyProjectionOptions no_memo;
-  no_memo.memory_budget_bytes = 0;
-  LazyProjection::Stats stats_none;
-  ASSERT_TRUE(CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options,
-                                             no_memo, &stats_none)
-                  .ok());
-
-  LazyProjectionOptions big_memo;
-  big_memo.memory_budget_bytes = 16 << 20;
-  LazyProjection::Stats stats_big;
-  ASSERT_TRUE(CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options,
-                                             big_memo, &stats_big)
-                  .ok());
+  // A one-shard memo at one thread: the statistics are deterministic.
+  const auto run = [&](uint64_t budget) {
+    LazyProjectionOptions lazy;
+    lazy.memory_budget_bytes = budget;
+    auto memo = ConcurrentLazyProjection::Create(f.graph, degrees, lazy,
+                                                 /*num_shards=*/1)
+                    .value();
+    LazyProjection::Stats stats;
+    EXPECT_TRUE(
+        CountMotifsWedgeSampleLazy(f.graph, degrees, *memo, options, &stats)
+            .ok());
+    return stats;
+  };
+  const LazyProjection::Stats stats_none = run(0);
+  const LazyProjection::Stats stats_big = run(16 << 20);
 
   EXPECT_EQ(stats_none.memo_hits, 0u);
   EXPECT_GT(stats_big.memo_hits, 0u);

@@ -6,13 +6,16 @@
 // record may only cost a recompute (counted in the fallback stats),
 // never correctness. Fault points "spill.append" / "spill.read" drive
 // the torn/corrupt cases deterministically.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
+#include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "hypergraph/binary_format.h"
 #include "hypergraph/io.h"
 #include "hypergraph/lazy_projection.h"
 #include "hypergraph/projection.h"
@@ -103,6 +106,53 @@ TEST_F(SpillTierTest, CountsBitIdenticalToMaterializedAcrossBudgetSweep) {
                            std::string(AlgorithmName(algorithm)) +
                                " threads=" + std::to_string(threads) +
                                " budget=" + std::to_string(budget));
+      }
+    }
+  }
+}
+
+// The out-of-core check of the repository benchmark (perfbench), as a
+// unit test: a text-loaded graph counted materialized with the sample
+// count derived from sampling_ratio, against the same graph reopened
+// from its .mhg file and counted lazily at a tenth of the materialized
+// footprint with the spill tier attached. Bit-identical at every thread
+// count, for MoCHy-A and MoCHy-A+.
+TEST_F(SpillTierTest, MappedSpillRunMatchesTextLoadedMaterializedAtRatio) {
+  ScopedTempDir tmp;
+  GeneratorConfig config = DefaultConfig(Domain::kCoauthorship, 1.0);
+  config.seed = 5;
+  const std::string text_path = tmp.Path("graph.txt");
+  const std::string binary_path = tmp.Path("graph.mhg");
+  ASSERT_TRUE(
+      SaveHypergraph(GenerateDomainHypergraph(config).value(), text_path)
+          .ok());
+  const Hypergraph text = LoadHypergraph(text_path).value();
+  ASSERT_TRUE(SaveHypergraphBinary(text, binary_path).ok());
+  const Hypergraph mapped = LoadHypergraphBinary(binary_path).value();
+
+  for (const Algorithm algorithm :
+       {Algorithm::kEdgeSample, Algorithm::kLinkSample}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      EngineOptions options;
+      options.algorithm = algorithm;
+      options.num_threads = threads;
+      options.num_samples = 0;
+      options.sampling_ratio = 0.1;
+      options.seed = 11;
+      options.projection = ProjectionPolicy::kMaterialized;
+      const EngineResult want =
+          MotifEngine::Create(text, options).value().Count(options).value();
+      ASSERT_GT(want.stats.samples_used, 0u);
+      const EngineResult got =
+          SpillRun(mapped, options,
+                   std::max<uint64_t>(1, want.stats.projection_bytes / 10),
+                   tmp.Path("spill"));
+      const std::string context = std::string(AlgorithmName(algorithm)) +
+                                  " threads=" + std::to_string(threads);
+      ASSERT_EQ(got.stats.samples_used, want.stats.samples_used) << context;
+      EXPECT_GT(got.stats.lazy_spill_readmits, 0u) << context;
+      for (int t = 1; t <= kNumHMotifs; ++t) {
+        ASSERT_EQ(got.counts[t], want.counts[t]) << context << ": motif " << t;
       }
     }
   }
